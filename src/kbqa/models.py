@@ -28,9 +28,10 @@ from .neural.layers import (
     DenseLayer,
     DropoutLayer,
     EmbeddingLayer,
+    cross_entropy,
+    softmax,
 )
 from .neural.optim import Optimizer
-from .neural.ops import softmax
 from .seeding import rng_for
 from .textproc import noun_chunk_filter, pos_tag
 
@@ -46,8 +47,6 @@ __all__ = [
     "build_model",
     "default_descriptor",
     "entity_phrase",
-    "nb_predict",
-    "nb_train",
     "predict_relation",
     "predict_tags",
     "train",
@@ -291,62 +290,55 @@ class NeuralSequenceModel:
             logits = self.dense.forward(head_in)
         return seq_outs, last_drop, logits
 
-    def _activity_terms(self, seq_outs, logits, mask):
-        """Designated activations: recurrent outputs and dense logits,
-        masked positions excluded."""
-        mask3 = mask[:, :, None]
-        terms = [(out, mask3) for out in seq_outs]
+    def _objective(self, seq_outs, logits, mask, targets) -> tuple[float, int]:
+        """Mean cross-entropy plus the L1 activity penalty, and the number
+        of penalised activations (the penalty gradient's denominator).
+
+        The penalised activations are the recurrent outputs and the dense
+        logits, with masked positions excluded."""
+        nll = cross_entropy(logits, targets)
         if self.descriptor.task == "ENTITY":
-            terms.append((logits, mask3))
+            value = (nll * mask).sum() / mask.sum()
         else:
-            terms.append((logits, None))
-        return terms
+            value = nll.sum() / nll.shape[0]
+        if not self.l1_activity:
+            return float(value), 0
+        n_real = int(mask.sum())
+        total = sum(float((np.abs(out) * mask[:, :, None]).sum()) for out in seq_outs)
+        count = sum(n_real * out.shape[-1] for out in seq_outs)
+        if self.descriptor.task == "ENTITY":
+            total += float((np.abs(logits) * mask[:, :, None]).sum())
+            count += n_real * logits.shape[-1]
+        else:
+            total += float(np.abs(logits).sum())
+            count += logits.size
+        return float(value + self.l1_activity * total / count), count
 
     def loss_and_grads(self, batch, training: bool = False):
         """Mean cross-entropy plus L1 activity penalty; exact gradients."""
         ids, mask, targets = batch
         self._zero_grads()
         seq_outs, last_drop, logits = self._forward(ids, mask, training)
-        probs = softmax(logits)
+        total, act_count = self._objective(seq_outs, logits, mask, targets)
         l1 = self.l1_activity
 
-        terms = self._activity_terms(seq_outs, logits, mask)
-        act_count = 0
-        act_total = 0.0
-        if l1:
-            for act, m in terms:
-                if m is None:
-                    act_total += np.abs(act).sum()
-                    act_count += act.size
-                else:
-                    act_total += (np.abs(act) * m).sum()
-                    act_count += int(m.sum()) * act.shape[-1]
-
+        d_logits = softmax(logits)
         if self.descriptor.task == "ENTITY":
-            n_real = mask.sum()
-            picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-            ce = -(np.log(np.maximum(picked, 1e-300)) * mask).sum() / n_real
-            d_logits = probs.copy()
             np.put_along_axis(
                 d_logits,
                 targets[:, :, None],
                 np.take_along_axis(d_logits, targets[:, :, None], axis=2) - 1.0,
                 axis=2,
             )
-            d_logits *= mask[:, :, None] / n_real
+            d_logits *= mask[:, :, None] / mask.sum()
             if l1:
                 d_logits += l1 * np.sign(logits) * mask[:, :, None] / act_count
         else:
             n = ids.shape[0]
-            picked = probs[np.arange(n), targets]
-            ce = -np.log(np.maximum(picked, 1e-300)).sum() / n
-            d_logits = probs.copy()
             d_logits[np.arange(n), targets] -= 1.0
             d_logits /= n
             if l1:
                 d_logits += l1 * np.sign(logits) / act_count
-
-        total = float(ce + (l1 * act_total / act_count if l1 else 0.0))
 
         d_head_in = self.dense.backward(d_logits)
         if self.descriptor.task == "ENTITY":
@@ -373,29 +365,7 @@ class NeuralSequenceModel:
     def loss(self, batch) -> float:
         ids, mask, targets = batch
         seq_outs, _, logits = self._forward(ids, mask, training=False)
-        probs = softmax(logits)
-        l1 = self.l1_activity
-        penalty = 0.0
-        if l1:
-            total = 0.0
-            count = 0
-            for act, m in self._activity_terms(seq_outs, logits, mask):
-                if m is None:
-                    total += np.abs(act).sum()
-                    count += act.size
-                else:
-                    total += (np.abs(act) * m).sum()
-                    count += int(m.sum()) * act.shape[-1]
-            penalty = l1 * total / count
-        if self.descriptor.task == "ENTITY":
-            picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-            ce = -(np.log(np.maximum(picked, 1e-300)) * mask).sum() / mask.sum()
-        else:
-            n = ids.shape[0]
-            ce = -np.log(
-                np.maximum(probs[np.arange(n), targets], 1e-300)
-            ).sum() / n
-        return float(ce + penalty)
+        return self._objective(seq_outs, logits, mask, targets)[0]
 
     # -- prediction ---------------------------------------------------------
 
@@ -594,19 +564,6 @@ def predict_relation(model, tokens, lexicon=None) -> tuple[str, float]:
         filtered = noun_chunk_filter(tokens, pos_tag(tokens, lexicon))
         tokens = list(filtered.kept_tokens)
     return model.predict_label(tokens)
-
-
-def nb_train(dataset, label_space: RelationLabelSpace, alpha: float = 1.0) -> MultinomialNBModel:
-    desc = ArchitectureDescriptor("RELATION", "NB_MULTINOMIAL")
-    model = MultinomialNBModel(desc, label_space, alpha)
-    model.fit(dataset)
-    return model
-
-
-def nb_predict(model: MultinomialNBModel, tokens) -> tuple[str, float]:
-    scores = model.log_scores(tokens)
-    best = int(np.argmax(scores))
-    return model.label_space.labels[best], float(scores[best])
 
 
 # -- training -----------------------------------------------------------------

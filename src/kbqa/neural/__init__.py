@@ -1,4 +1,4 @@
-"""Minimal differentiable stack: cells, layers, losses, optimizers, grad check."""
+"""Minimal differentiable stack: layers, losses, optimizers, grad check."""
 
 from .config import TrainConfig
 from .gradcheck import GradCheckReport, grad_check
@@ -9,18 +9,6 @@ from .layers import (
     DropoutLayer,
     EmbeddingLayer,
     RecurrentDirection,
-)
-from .ops import (
-    apply_dropout,
-    bidirectional_forward,
-    conv1d_forward,
-    dense_softmax,
-    gru_cell_forward,
-    init_cell_params,
-    loss,
-    lstm_cell_forward,
-    sigmoid,
-    softmax,
 )
 from .optim import OPTIMIZER_KINDS, Adam, Optimizer, SGD, make_optimizer
 
@@ -37,16 +25,6 @@ __all__ = [
     "RecurrentDirection",
     "SGD",
     "TrainConfig",
-    "apply_dropout",
-    "bidirectional_forward",
-    "conv1d_forward",
-    "dense_softmax",
     "grad_check",
-    "gru_cell_forward",
-    "init_cell_params",
-    "loss",
-    "lstm_cell_forward",
     "make_optimizer",
-    "sigmoid",
-    "softmax",
 ]

@@ -7,11 +7,33 @@ seen at real positions and gradients flow straight through pad steps.
 
 Every layer exposes params/grads dicts keyed by local names; models
 prefix them with a layer path to build one flat parameter space.
+
+Recurrent cells (sigmoid s, elementwise *, inputs are row vectors):
+
+  GRU   z = s(x W_z + h U_z + b_z)          LSTM  i, f, o = s(gates)
+        r = s(x W_r + h U_r + b_r)                g = tanh(x W_g + h U_g + b_g)
+        hc = tanh(x W_h + (r*h) U_h + b_h)        c' = f*c + i*g
+        h' = z*h + (1 - z)*hc                     h' = o*tanh(c')
+
+Both cells share one gate-major kernel.  A direction stores its weights
+as fused arrays W [k, D, H], U [k, H, H] and b [k, H], with k = 3 gates
+(z, r, h) for the GRU and k = 4 (i, f, o, g) for the LSTM.  params["W_z"]
+is W[0], params["U_r"] is U[1], and so on; grads follows the same layout
+over its own fused arrays.  Every entry is a C-contiguous writable view,
+so in-place writes reach the arrays the kernel reads: the optimizer's
+`p -= ...`, load_model's `arr[...] = ...`, and finite-difference checks
+writing through `arr.reshape(-1)` (a view only because each gate block
+is contiguous; a [D, k*H] column-slice layout would make it a copy).
+Rebinding a dict entry to a new array detaches it from the kernel.
+
+The forward pass projects every step's input with one GEMM, then runs
+one recurrent GEMM per step (two for the GRU, whose candidate reads
+r*h).  The backward pass writes each step's gate gradients into one
+time-major [T, B, k, H] buffer and forms dW, dU, db and dx from it with
+one GEMM each after the loop.
 """
 
 import numpy as np
-
-from .ops import GRU_PARAM_NAMES, LSTM_PARAM_NAMES, init_cell_params, sigmoid
 
 __all__ = [
     "BidirectionalLayer",
@@ -20,7 +42,52 @@ __all__ = [
     "DropoutLayer",
     "EmbeddingLayer",
     "RecurrentDirection",
+    "cross_entropy",
+    "sigmoid",
+    "softmax",
 ]
+
+GRU_PARAM_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
+LSTM_PARAM_NAMES = (
+    "W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
+    "W_o", "U_o", "b_o", "W_g", "U_g", "b_g",
+)
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5*(1 + tanh(x/2)): one pass, no overflow."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / np.sum(ex, axis=-1, keepdims=True)
+
+
+def cross_entropy(logits: np.ndarray, targets) -> np.ndarray:
+    """-log softmax(logits)[target] for every row of the last axis.
+
+    Computed as log1p(sum_{j != m} exp(z_j - z_m)) - (z_t - z_m), with m
+    the row's argmax, so no log is taken of a probability that rounds to
+    1: the loss keeps its relative precision as it approaches 0, which
+    finite-difference gradient checks on a well-trained model rely on.
+    """
+    targets = np.asarray(targets)
+    n_classes = logits.shape[-1]
+    if targets.min() < 0 or targets.max() >= n_classes:
+        raise ValueError(f"targets out of range for {n_classes} classes")
+    top = np.argmax(logits, axis=-1)[..., None]
+    shifted = logits - np.take_along_axis(logits, top, axis=-1)
+    rest = np.exp(shifted)
+    np.put_along_axis(rest, top, 0.0, axis=-1)
+    picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
+    return np.log1p(rest.sum(axis=-1)) - picked
 
 
 class _ParamLayer:
@@ -68,7 +135,8 @@ class EmbeddingLayer(_ParamLayer):
 
 
 class RecurrentDirection(_ParamLayer):
-    """One direction of a GRU or LSTM over a padded batch."""
+    """One direction of a GRU or LSTM over a padded batch (see the module
+    docstring for the fused parameter layout)."""
 
     def __init__(self, kind: str, input_dim: int, hidden_dim: int, reverse: bool,
                  rng: np.random.Generator | None = None, init_scale: float = 0.08):
@@ -79,120 +147,143 @@ class RecurrentDirection(_ParamLayer):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.reverse = reverse
+        self.names = GRU_PARAM_NAMES if kind == "gru" else LSTM_PARAM_NAMES
+        k = len(self.names) // 3
+        self.W = np.zeros((k, input_dim, hidden_dim))
+        self.U = np.zeros((k, hidden_dim, hidden_dim))
+        self.b = np.zeros((k, hidden_dim))
+        self.params = self._views(self.W, self.U, self.b)
         if rng is not None:
-            self.params = init_cell_params(kind, input_dim, hidden_dim, rng, init_scale)
-        else:
-            names = GRU_PARAM_NAMES if kind == "gru" else LSTM_PARAM_NAMES
-            self.params = {
-                n: np.zeros(
-                    (input_dim, hidden_dim) if n.startswith("W")
-                    else (hidden_dim, hidden_dim) if n.startswith("U")
-                    else (hidden_dim,)
-                )
-                for n in names
-            }
+            # one uniform draw per named parameter, in name order
+            for arr in self.params.values():
+                arr[...] = rng.uniform(-init_scale, init_scale, size=arr.shape)
         self._cache = None
 
-    def _step_order(self, t_len: int):
-        return range(t_len - 1, -1, -1) if self.reverse else range(t_len)
+    def _views(self, W, U, b) -> dict[str, np.ndarray]:
+        return dict(zip(self.names, (a[j] for j in range(len(b)) for a in (W, U, b))))
+
+    def zero_grads(self):
+        self.dW, self.dU, self.db = (np.zeros_like(a) for a in (self.W, self.U, self.b))
+        self.grads = self._views(self.dW, self.dU, self.db)
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        b, t_len, _ = x.shape
-        p = self.params
-        h = np.zeros((b, self.hidden_dim))
-        c = np.zeros((b, self.hidden_dim))
-        out = np.zeros((b, t_len, self.hidden_dim))
-        steps = []
-        for t in self._step_order(t_len):
-            x_t = x[:, t, :]
-            m = mask[:, t, None]
-            if self.kind == "gru":
-                z = sigmoid(x_t @ p["W_z"] + h @ p["U_z"] + p["b_z"])
-                r = sigmoid(x_t @ p["W_r"] + h @ p["U_r"] + p["b_r"])
-                rh = r * h
-                hc = np.tanh(x_t @ p["W_h"] + rh @ p["U_h"] + p["b_h"])
-                h_new = z * h + (1.0 - z) * hc
-                steps.append((t, x_t, h, z, r, rh, hc, m))
-                h = m * h_new + (1.0 - m) * h
+        b_size, t_len, depth = x.shape
+        if depth != self.input_dim:
+            raise ValueError(f"input has {depth} features, layer expects {self.input_dim}")
+        k, hidden = self.b.shape
+        lstm = self.kind == "lstm"
+        rev = int(self.reverse)
+        U = self.U
+        # time-major throughout, so every per-step slice is contiguous
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, depth)
+        xw = np.matmul(x_tm, self.W).reshape(k, t_len, b_size, hidden)
+        xw += self.b[:, None, None, :]
+        gates = np.empty((t_len, k, b_size, hidden))
+        # hs[t + rev] is the state entering step t, hs[t + 1 - rev] the one leaving it
+        hs = np.zeros((t_len + 1, b_size, hidden))
+        cs = np.zeros_like(hs) if lstm else None
+        aux = np.empty((t_len, b_size, hidden))  # LSTM tanh(c'), GRU r*h
+        pads = mask.T[:, :, None] == 0.0
+        full = (~pads.any(axis=(1, 2))).tolist()
+        for t in range(t_len - 1, -1, -1) if rev else range(t_len):
+            h, h_new, a = hs[t + rev], hs[t + 1 - rev], gates[t]
+            if lstm:
+                np.matmul(h, U, out=a)
+                a += xw[:, t]
+                sigmoid(a[:3], out=a[:3])
+                np.tanh(a[3], out=a[3])
+                i, f, o, g = a
+                c, c_new = cs[t + rev], cs[t + 1 - rev]
+                np.multiply(f, c, out=c_new)
+                c_new += i * g
+                np.multiply(o, np.tanh(c_new, out=aux[t]), out=h_new)
             else:
-                i = sigmoid(x_t @ p["W_i"] + h @ p["U_i"] + p["b_i"])
-                f = sigmoid(x_t @ p["W_f"] + h @ p["U_f"] + p["b_f"])
-                o = sigmoid(x_t @ p["W_o"] + h @ p["U_o"] + p["b_o"])
-                g = np.tanh(x_t @ p["W_g"] + h @ p["U_g"] + p["b_g"])
-                c_new = f * c + i * g
-                tc = np.tanh(c_new)
-                h_new = o * tc
-                steps.append((t, x_t, h, c, i, f, o, g, tc, m))
-                c = m * c_new + (1.0 - m) * c
-                h = m * h_new + (1.0 - m) * h
-            out[:, t, :] = h
-        self._cache = (x.shape, steps)
-        return out
+                np.matmul(h, U[:2], out=a[:2])
+                a[:2] += xw[:2, t]
+                sigmoid(a[:2], out=a[:2])
+                z, r, hc = a
+                np.matmul(np.multiply(r, h, out=aux[t]), U[2], out=hc)
+                hc += xw[2, t]
+                np.tanh(hc, out=hc)
+                np.subtract(h, hc, out=h_new)
+                h_new *= z
+                h_new += hc
+            if not full[t]:
+                np.copyto(h_new, h, where=pads[t])
+                if lstm:
+                    np.copyto(c_new, c, where=pads[t])
+        self._cache = (x_tm, gates, hs, cs, aux, pads, full)
+        return hs[1 - rev : t_len + 1 - rev].transpose(1, 0, 2)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        x_shape, steps = self._cache
-        g = self.grads
-        p = self.params
-        dx = np.zeros(x_shape)
-        dh = np.zeros((x_shape[0], self.hidden_dim))
-        dc = np.zeros((x_shape[0], self.hidden_dim))
-        for step in reversed(steps):
-            if self.kind == "gru":
-                t, x_t, h_prev, z, r, rh, hc, m = step
-                dh = dh + d_out[:, t, :]
-                dh_new = dh * m
-                dh_prev = dh * (1.0 - m)
-                dz = dh_new * (h_prev - hc)
-                dhc = dh_new * (1.0 - z)
-                dh_prev += dh_new * z
-                dah = dhc * (1.0 - hc * hc)
-                g["W_h"] += x_t.T @ dah
-                g["U_h"] += rh.T @ dah
-                g["b_h"] += dah.sum(axis=0)
-                dx_t = dah @ p["W_h"].T
-                drh = dah @ p["U_h"].T
-                dh_prev += drh * r
-                dr = drh * h_prev
-                daz = dz * z * (1.0 - z)
-                dar = dr * r * (1.0 - r)
-                g["W_z"] += x_t.T @ daz
-                g["U_z"] += h_prev.T @ daz
-                g["b_z"] += daz.sum(axis=0)
-                g["W_r"] += x_t.T @ dar
-                g["U_r"] += h_prev.T @ dar
-                g["b_r"] += dar.sum(axis=0)
-                dx_t += daz @ p["W_z"].T + dar @ p["W_r"].T
-                dh_prev += daz @ p["U_z"].T + dar @ p["U_r"].T
-                dx[:, t, :] = dx_t
-                dh = dh_prev
+        x_tm, gates, hs, cs, aux, pads, full = self._cache
+        t_len, k, b_size, hidden = gates.shape
+        lstm = self.kind == "lstm"
+        rev = int(self.reverse)
+        h_prev = hs[rev : t_len + rev]
+        # gate-gradient buffer: each step's slot is first filled with the
+        # local derivatives of all steps at once, then scaled in the loop
+        # by that step's incoming state gradients
+        d_gates = np.zeros((t_len, b_size, k, hidden))
+        slots = d_gates.transpose(0, 2, 1, 3)  # [T, k, B, H] view
+        sig = gates[:, : k - 1]
+        d_sig = sig * (1.0 - sig)
+        if lstm:
+            i, f, o, g = gates.transpose(1, 0, 2, 3)
+            np.multiply(g, d_sig[:, 0], out=slots[:, 0])
+            np.multiply(cs[rev : t_len + rev], d_sig[:, 1], out=slots[:, 1])
+            np.multiply(i, 1.0 - g * g, out=slots[:, 3])
+            k_o = aux * d_sig[:, 2]  # dh' -> output gate
+            k_c = o * (1.0 - aux * aux)  # dh' -> c'
+            u_cat = self.U.transpose(0, 2, 1).reshape(k * hidden, hidden)
+        else:
+            z, r, hc = gates.transpose(1, 0, 2, 3)
+            np.multiply(h_prev - hc, d_sig[:, 0], out=slots[:, 0])
+            np.multiply(1.0 - z, 1.0 - hc * hc, out=slots[:, 2])
+            k_r = h_prev * d_sig[:, 1]  # d(r*h) -> reset gate
+            u_zr = self.U[:2].transpose(0, 2, 1).reshape(2 * hidden, hidden)
+            u_h = self.U[2].T
+        dh = np.zeros((b_size, hidden))
+        dc = np.zeros((b_size, hidden))
+        for t in range(t_len) if rev else range(t_len - 1, -1, -1):
+            dh += d_out[:, t]
+            dh_new, dc_new = dh, dc
+            if not full[t]:
+                dh_new = np.where(pads[t], 0.0, dh)
+                dc_new = np.where(pads[t], 0.0, dc)
+            slot = d_gates[t]
+            if lstm:
+                dc_new = dc_new + dh_new * k_c[t]
+                slot *= dc_new[:, None, :]
+                np.multiply(dh_new, k_o[t], out=slot[:, 2])
+                dc_prev = dc_new * f[t]
+                dh_prev = slot.reshape(b_size, -1) @ u_cat
             else:
-                t, x_t, h_prev, c_prev, i, f, o, g_gate, tc, m = step
-                dh = dh + d_out[:, t, :]
-                dh_new = dh * m
-                dh_prev = dh * (1.0 - m)
-                dc_new = dc * m
-                dc_prev = dc * (1.0 - m)
-                do = dh_new * tc
-                dc_new += dh_new * o * (1.0 - tc * tc)
-                df = dc_new * c_prev
-                di = dc_new * g_gate
-                dg = dc_new * i
-                dc_prev += dc_new * f
-                dai = di * i * (1.0 - i)
-                daf = df * f * (1.0 - f)
-                dao = do * o * (1.0 - o)
-                dag = dg * (1.0 - g_gate * g_gate)
-                dx_t = np.zeros_like(x_t)
-                for a, w_name in ((dai, "i"), (daf, "f"), (dao, "o"), (dag, "g")):
-                    g[f"W_{w_name}"] += x_t.T @ a
-                    g[f"U_{w_name}"] += h_prev.T @ a
-                    g[f"b_{w_name}"] += a.sum(axis=0)
-                    dx_t += a @ p[f"W_{w_name}"].T
-                    dh_prev += a @ p[f"U_{w_name}"].T
-                dx[:, t, :] = dx_t
-                dh = dh_prev
+                slot[:, ::2] *= dh_new[:, None, :]
+                d_rh = slot[:, 2] @ u_h
+                np.multiply(d_rh, k_r[t], out=slot[:, 1])
+                dh_prev = dh_new * z[t]
+                dh_prev += d_rh * r[t]
+                dh_prev += slot[:, :2].reshape(b_size, -1) @ u_zr
+            if not full[t]:
+                np.copyto(dh_prev, dh, where=pads[t])
+                if lstm:
+                    np.copyto(dc_prev, dc, where=pads[t])
+            dh = dh_prev
+            if lstm:
                 dc = dc_prev
-        return dx
+        per_gate = d_gates.reshape(-1, k, hidden).transpose(1, 0, 2)  # [k, T*B, H]
+        self.dW += np.matmul(x_tm.T, per_gate)
+        h_flat = h_prev.reshape(-1, hidden)
+        if lstm:
+            self.dU += np.matmul(h_flat.T, per_gate)
+        else:
+            self.dU[:2] += np.matmul(h_flat.T, per_gate[:2])
+            self.dU[2] += aux.reshape(-1, hidden).T @ per_gate[2]
+        self.db += d_gates.sum(axis=(0, 1))
+        w_cat = self.W.transpose(0, 2, 1).reshape(k * hidden, -1)
+        dx = d_gates.reshape(t_len * b_size, -1) @ w_cat
+        return dx.reshape(t_len, b_size, -1).transpose(1, 0, 2)
 
 
 class BidirectionalLayer:
@@ -290,10 +381,11 @@ class Conv1dLayer(_ParamLayer):
         padded, active, t_len = self._cache
         d_pre = d_out * active
         self.grads["b"] += d_pre.sum(axis=(0, 1))
+        d_flat = d_pre.reshape(-1, self.n_filters)
         d_padded = np.zeros_like(padded)
         for j in range(self.width):
-            window = padded[:, j : j + t_len, :]
-            self.grads["F"][:, j, :] += np.einsum("btf,btd->fd", d_pre, window)
+            window = padded[:, j : j + t_len, :].reshape(-1, padded.shape[2])
+            self.grads["F"][:, j, :] += d_flat.T @ window
             d_padded[:, j : j + t_len, :] += d_pre @ self.params["F"][:, j, :]
         return d_padded[:, self.width - 1 :, :]
 

@@ -65,6 +65,23 @@ def lstm_step_scalar(x, h_prev, c_prev, params):
     return h, c
 
 
+def scalar_sequence(kind, params, steps):
+    """(states h, cell states c) after each step of a [T, D] sequence, from
+    a zero state, by the scalar step oracles; params may be arrays."""
+    params = {k: np.asarray(v).tolist() for k, v in params.items()}
+    hidden = len(params["b_z" if kind == "gru" else "b_i"])
+    h, c = [0.0] * hidden, [0.0] * hidden
+    hs, cs = [], []
+    for x in steps:
+        if kind == "gru":
+            h = gru_step_scalar(list(x), h, params)
+        else:
+            h, c = lstm_step_scalar(list(x), h, c, params)
+        hs.append(h)
+        cs.append(c)
+    return np.array(hs), np.array(cs)
+
+
 def conv1d_scalar(sequence, filters, bias):
     """Causal same-length convolution with explicit loops, pre-ReLU."""
     t_len = len(sequence)
@@ -83,6 +100,93 @@ def conv1d_scalar(sequence, filters, bias):
             row.append(acc)
         out.append(row)
     return out
+
+
+def _sigmoid_masked(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def recurrent_reference(kind, params, x, mask, reverse, d_out):
+    """One recurrent direction with separate per-gate matmuls at every step,
+    forward and backward: (outputs [B, T, H], dx, grads by param name).
+
+    This is the pre-fusion batched kernel, kept as the reference the fused
+    gate-major layer is compared against.  Masked steps carry the state.
+    """
+    p = params
+    b_size, t_len, _ = x.shape
+    hidden = p["b_z" if kind == "gru" else "b_i"].shape[0]
+    h = np.zeros((b_size, hidden))
+    c = np.zeros((b_size, hidden))
+    out = np.zeros((b_size, t_len, hidden))
+    steps = []
+    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+        x_t = x[:, t, :]
+        m = mask[:, t, None]
+        if kind == "gru":
+            z = _sigmoid_masked(x_t @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+            r = _sigmoid_masked(x_t @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+            hc = np.tanh(x_t @ p["W_h"] + (r * h) @ p["U_h"] + p["b_h"])
+            steps.append((t, x_t, h, c, (z, r, hc), m))
+            h = m * (z * h + (1.0 - z) * hc) + (1.0 - m) * h
+        else:
+            gates = [
+                _sigmoid_masked(x_t @ p[f"W_{n}"] + h @ p[f"U_{n}"] + p[f"b_{n}"])
+                for n in "ifo"
+            ]
+            g = np.tanh(x_t @ p["W_g"] + h @ p["U_g"] + p["b_g"])
+            i, f, o = gates
+            c_new = f * c + i * g
+            steps.append((t, x_t, h, c, (i, f, o, g, np.tanh(c_new)), m))
+            h = m * (o * np.tanh(c_new)) + (1.0 - m) * h
+            c = m * c_new + (1.0 - m) * c
+        out[:, t, :] = h
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    dx = np.zeros(x.shape)
+    dh = np.zeros((b_size, hidden))
+    dc = np.zeros((b_size, hidden))
+
+    def gate(name, da, x_t, state_in):
+        grads[f"W_{name}"] += x_t.T @ da
+        grads[f"U_{name}"] += state_in.T @ da
+        grads[f"b_{name}"] += da.sum(axis=0)
+        return da @ p[f"W_{name}"].T, da @ p[f"U_{name}"].T
+
+    for t, x_t, h_prev, c_prev, acts, m in reversed(steps):
+        dh = dh + d_out[:, t, :]
+        dh_new = dh * m
+        dh_prev = dh * (1.0 - m)
+        if kind == "gru":
+            z, r, hc = acts
+            dh_prev += dh_new * z
+            dx_t, drh = gate("h", dh_new * (1.0 - z) * (1.0 - hc * hc), x_t, r * h_prev)
+            dh_prev += drh * r
+            for name, da in (("z", dh_new * (h_prev - hc) * z * (1.0 - z)),
+                             ("r", drh * h_prev * r * (1.0 - r))):
+                dx_g, dh_g = gate(name, da, x_t, h_prev)
+                dx_t += dx_g
+                dh_prev += dh_g
+        else:
+            i, f, o, g, tc = acts
+            dc_new = dc * m + dh_new * o * (1.0 - tc * tc)
+            dc = dc * (1.0 - m) + dc_new * f
+            dx_t = np.zeros_like(x_t)
+            for name, da in (("i", dc_new * g * i * (1.0 - i)),
+                             ("f", dc_new * c_prev * f * (1.0 - f)),
+                             ("o", dh_new * tc * o * (1.0 - o)),
+                             ("g", dc_new * i * (1.0 - g * g))):
+                dx_g, dh_g = gate(name, da, x_t, h_prev)
+                dx_t += dx_g
+                dh_prev += dh_g
+        dx[:, t, :] = dx_t
+        dh = dh_prev
+    return out, dx, grads
 
 
 # -- retrieval oracles ---------------------------------------------------------

@@ -9,11 +9,16 @@ from kbqa.models import (
     build_model,
     default_descriptor,
     entity_phrase,
-    nb_predict,
-    nb_train,
     predict_relation,
     predict_tags,
 )
+
+
+def nb_model(data, labels, alpha=1.0):
+    model = build_model(ArchitectureDescriptor("RELATION", "NB_MULTINOMIAL"), None, labels,
+                        alpha=alpha)
+    model.fit(data)
+    return model
 
 
 def question(tokens, relation="bornOn", tags=None, subject="e1"):
@@ -175,31 +180,31 @@ class TestNaiveBayes:
         # score(A|x) = ln(1/2) + ln(2/5); score(B|x) = ln(1/2) + ln(1/4)
         labels = RelationLabelSpace(("A", "B"))
         data = [question(["x", "y"], "A"), question(["z"], "B")]
-        model = nb_train(data, labels, alpha=1.0)
-        label, log_score = nb_predict(model, ["x"])
+        model = nb_model(data, labels, alpha=1.0)
+        label, _ = model.predict_label(["x"])
         assert label == "A"
-        assert log_score == pytest.approx(np.log(0.5) + np.log(2 / 5), abs=1e-12)
         scores = model.log_scores(["x"])
+        assert scores[0] == pytest.approx(np.log(0.5) + np.log(2 / 5), abs=1e-12)
         assert scores[1] == pytest.approx(np.log(0.5) + np.log(1 / 4), abs=1e-12)
 
     def test_single_class(self):
         labels = RelationLabelSpace(("A",))
-        model = nb_train([question(["q"], "A")], labels)
-        assert nb_predict(model, ["anything"])[0] == "A"
+        model = nb_model([question(["q"], "A")], labels)
+        assert model.predict_label(["anything"])[0] == "A"
 
     def test_bag_of_words_order_invariant(self):
         labels = RelationLabelSpace(("A", "B"))
         data = [question(["x", "y", "z"], "A"), question(["u", "v"], "B")]
-        model = nb_train(data, labels)
+        model = nb_model(data, labels)
         a = model.log_scores(["x", "v", "y"])
         b = model.log_scores(["y", "x", "v"])
-        assert nb_predict(model, ["x", "v", "y"])[0] == nb_predict(model, ["y", "x", "v"])[0]
+        assert model.predict_label(["x", "v", "y"])[0] == model.predict_label(["y", "x", "v"])[0]
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_unseen_token_uses_smoothed_likelihood(self):
         labels = RelationLabelSpace(("A", "B"))
         data = [question(["x", "y"], "A"), question(["z"], "B")]
-        model = nb_train(data, labels)
+        model = nb_model(data, labels)
         scores = model.log_scores(["unseen"])
         assert scores[0] == pytest.approx(np.log(0.5) + np.log(1 / 5), abs=1e-12)
         assert scores[1] == pytest.approx(np.log(0.5) + np.log(1 / 4), abs=1e-12)
@@ -207,7 +212,7 @@ class TestNaiveBayes:
     def test_empty_dataset(self):
         labels = RelationLabelSpace(("A",))
         with pytest.raises(ValueError):
-            nb_train([], labels)
+            nb_model([], labels)
 
 
 class TestUniformOutput:
@@ -261,12 +266,13 @@ class TestSerialization:
     def test_nb_roundtrip(self, tmp_path):
         labels = RelationLabelSpace(("A", "B"))
         data = [question(["x", "y"], "A"), question(["z"], "B")]
-        model = nb_train(data, labels)
+        model = nb_model(data, labels)
         path = tmp_path / "nb.qam"
         save_model(model, str(path))
         loaded = load_model(str(path))
         for tokens in (["x"], ["z"], ["x", "unseen"]):
-            assert nb_predict(loaded, tokens) == nb_predict(model, tokens)
+            assert np.array_equal(loaded.log_scores(tokens), model.log_scores(tokens))
+            assert loaded.predict_label(tokens) == model.predict_label(tokens)
 
     def test_naive_all_entity_roundtrip(self, tmp_path):
         model = build_model(ArchitectureDescriptor("ENTITY", "NAIVE_ALL_ENTITY"), None, None)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .index import DEFAULT_CANDIDATE_CAP, EntityIndex, query_entity_index
 from .models import build_model, predict_relation, predict_tags, train
+from .models import relation_accuracy, tag_accuracy
 from .neural.config import TrainConfig
-from .pipeline import StructuredQuery, build_structured_query
+from .pipeline import StructuredQuery
 from .seeding import rng_for
 
 __all__ = [
@@ -87,6 +88,16 @@ def question_correct(
     return candidates.candidates[0][0] == gold.gold_subject
 
 
+def _predict_once(predict, models, dataset, lexicon) -> dict[int, list]:
+    """predict(model, tokens, lexicon) on every question, once per distinct
+    model object, keyed by id(model)."""
+    out: dict[int, list] = {}
+    for model in models:
+        if id(model) not in out:
+            out[id(model)] = [predict(model, q.tokens, lexicon) for q in dataset]
+    return out
+
+
 def evaluate(
     dataset,
     entity_index: EntityIndex | None = None,
@@ -97,42 +108,48 @@ def evaluate(
     k: int = DEFAULT_CANDIDATE_CAP,
 ) -> AccuracyReport:
     """Accuracy rows for every given model; pipelines are (entity, relation)
-    model pairs scored end to end against the entity index."""
+    model pairs scored end to end against the entity index.
+
+    Each distinct model object reads each question once; every row that
+    names it reads those predictions."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
-    if (pipelines or {}) and entity_index is None:
+    entity_models = entity_models or {}
+    relation_models = relation_models or {}
+    pipelines = pipelines or {}
+    if pipelines and entity_index is None:
         raise ValueError("end-to-end evaluation needs the entity index")
 
+    entity_side = [*entity_models.values(), *(em for em, _ in pipelines.values())]
+    relation_side = [*relation_models.values(), *(rm for _, rm in pipelines.values())]
+    tags = _predict_once(predict_tags, entity_side, dataset, lexicon)
+    relations = _predict_once(predict_relation, relation_side, dataset, lexicon)
+
     rows = []
-    for name, model in (entity_models or {}).items():
-        q_correct = 0
-        tok_correct = 0
-        tok_total = 0
-        for q in dataset:
-            pred = predict_tags(model, list(q.tokens), lexicon)
-            q_correct += int(pred.mapped_tags == q.gold_tags)
-            tok_correct += sum(
-                int(p == g) for p, g in zip(pred.mapped_tags, q.gold_tags)
-            )
-            tok_total += len(q.gold_tags)
+    for name, model in entity_models.items():
+        preds = tags[id(model)]
+        tok_correct = sum(
+            int(p == g)
+            for pred, q in zip(preds, dataset)
+            for p, g in zip(pred.mapped_tags, q.gold_tags)
+        )
+        tok_total = sum(len(q.gold_tags) for q in dataset)
         rows.append(
             ReportRow(
                 name,
-                ed_question_accuracy=q_correct / len(dataset),
+                ed_question_accuracy=tag_accuracy(preds, dataset),
                 ed_token_accuracy=tok_correct / tok_total,
             )
         )
-    for name, model in (relation_models or {}).items():
-        correct = sum(
-            int(predict_relation(model, list(q.tokens), lexicon)[0] == q.gold_relation)
-            for q in dataset
-        )
-        rows.append(ReportRow(name, rp_accuracy=correct / len(dataset)))
-    for name, (entity_model, relation_model) in (pipelines or {}).items():
+    for name, model in relation_models.items():
+        labels = [label for label, _ in relations[id(model)]]
+        rows.append(ReportRow(name, rp_accuracy=relation_accuracy(labels, dataset)))
+    for name, (entity_model, relation_model) in pipelines.items():
         correct = 0
-        for q in dataset:
-            query = build_structured_query(entity_model, relation_model, q.text, lexicon)
+        predictions = zip(dataset, tags[id(entity_model)], relations[id(relation_model)])
+        for q, pred, (label, _) in predictions:
+            query = StructuredQuery.of(pred, label, q.tokens)
             correct += int(question_correct(query, q, entity_index, k))
         rows.append(ReportRow(name, end_to_end_accuracy=correct / len(dataset)))
     return AccuracyReport(tuple(rows))

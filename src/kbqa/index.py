@@ -171,58 +171,70 @@ def save_indexes(entity_index: EntityIndex, reach_index: ReachIndex, path: str) 
 def load_indexes(path: str) -> tuple[EntityIndex, ReachIndex]:
     """Inverse of save_indexes."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
+        lines = fh.read().split("\n")
+    if lines[0] != "QAIDX 1":
+        raise ParseError(path, 1, "not a QAIDX 1 file")
+    if lines.pop() != "":
+        raise ParseError(path, len(lines) + 1, "truncated file: no final newline")
+    pos = 1
 
-    def take(expected_prefix: str) -> list[str]:
+    def count(prefix: str) -> int:
+        """The count on the next 'PREFIX count' header line."""
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError(path, pos + 1, f"missing {expected_prefix} section")
+            raise ParseError(path, pos + 1, f"missing {prefix} section")
         header = lines[pos].split(" ")
-        if len(header) != 2 or header[0] != expected_prefix:
-            raise ParseError(path, pos + 1, f"expected {expected_prefix!r} header, got {lines[pos]!r}")
-        try:
-            count = int(header[1])
-        except ValueError:
-            raise ParseError(path, pos + 1, f"bad count in {lines[pos]!r}") from None
+        if len(header) != 2 or header[0] != prefix:
+            raise ParseError(path, pos + 1, f"expected {prefix!r} header, got {lines[pos]!r}")
+        if not (header[1].isascii() and header[1].isdigit()):
+            raise ParseError(path, pos + 1, f"bad count in {lines[pos]!r}")
         pos += 1
-        if pos + count > len(lines):
-            raise ParseError(path, pos, f"truncated {expected_prefix} section")
-        section = lines[pos : pos + count]
-        pos += count
-        return section
+        return int(header[1])
 
-    if not lines or lines[0] != "QAIDX 1":
-        raise ParseError(path, 1, "not a QAIDX 1 file")
-    pos = 1
-    alias_header = lines[pos].split(" ")
-    if len(alias_header) != 2 or alias_header[0] != "ALIASES":
-        raise ParseError(path, pos + 1, "expected ALIASES header")
-    alias_count = int(alias_header[1])
-    pos += 1
+    def take(prefix: str) -> tuple[int, list[str]]:
+        """Index in lines of the section's first line, and its lines."""
+        nonlocal pos
+        n = count(prefix)
+        if pos + n > len(lines):
+            raise ParseError(path, pos, f"truncated {prefix} section")
+        start = pos
+        pos += n
+        return start, lines[start:pos]
+
+    def bad(start: int, rows: list[str], line: str, what: str) -> ParseError:
+        # rows parse in order, so a bad line's first copy is the one that failed
+        return ParseError(path, start + rows.index(line) + 1, f"bad {what} line {line!r}")
+
+    alias_count = count("ALIASES")
 
     df: dict[str, int] = {}
-    for line in take("DF"):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, pos, f"bad DF line {line!r}")
-        df[parts[0]] = int(parts[1])
+    start, rows = take("DF")
+    try:
+        for line in rows:
+            gram, value = line.split("\t")
+            df[gram] = int(value)
+    except ValueError:
+        raise bad(start, rows, line, "DF") from None
 
     postings: dict[str, list[tuple[str, str, float]]] = {}
-    for line in take("POSTINGS"):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(path, pos, f"bad posting line {line!r}")
-        gram, entity, alias, weight = parts
-        postings.setdefault(gram, []).append((entity, alias, float(weight)))
+    start, rows = take("POSTINGS")
+    try:
+        for line in rows:
+            gram, entity, alias, weight = line.split("\t")
+            postings.setdefault(gram, []).append((entity, alias, float(weight)))
+    except ValueError:
+        raise bad(start, rows, line, "posting") from None
 
     edges: dict[str, list[tuple[str, str]]] = {}
-    for line in take("EDGES"):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, pos, f"bad edge line {line!r}")
-        subject, relation, obj = parts
-        edges.setdefault(subject, []).append((relation, obj))
+    start, rows = take("EDGES")
+    try:
+        for line in rows:
+            subject, relation, obj = line.split("\t")
+            edges.setdefault(subject, []).append((relation, obj))
+    except ValueError:
+        raise bad(start, rows, line, "edge") from None
+    if pos != len(lines):
+        raise ParseError(path, pos + 1, f"unexpected line after EDGES: {lines[pos]!r}")
 
     entity_index = EntityIndex(
         {g: tuple(rows) for g, rows in postings.items()}, alias_count, df

@@ -107,16 +107,28 @@ def save_model(model, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _counts(path: str, line_no: int, fields: list[str]) -> list[int]:
+    """Non-negative integers of a section header, or ParseError."""
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ParseError(path, line_no, f"bad count in header {' '.join(fields)!r}")
+    return [int(f) for f in fields]
+
+
 def load_model(path: str):
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("QAMODEL 1 "):
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("QAMODEL 1 "):
         raise ParseError(path, 1, "not a QAMODEL 1 file")
+    if lines.pop() != "":
+        raise ParseError(path, len(lines) + 1, "truncated file: no final newline")
     pairs: dict[str, str] = {}
     for item in lines[0].split(" ")[2:]:
         key, _, value = item.partition("=")
         pairs[key] = value
-    desc = _parse_descriptor(pairs)
+    try:
+        desc = _parse_descriptor(pairs)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(path, 1, f"bad model header: {exc!r}") from None
 
     pos = 1
     vocab_tokens: list[str] = []
@@ -124,28 +136,46 @@ def load_model(path: str):
     params: dict[str, np.ndarray] = {}
     while pos < len(lines):
         header = lines[pos].split(" ")
-        if header[0] == "VOCAB":
-            count = int(header[1])
-            vocab_tokens = lines[pos + 1 : pos + 1 + count]
+        if header[0] in ("VOCAB", "LABELS") and len(header) == 2:
+            (count,) = _counts(path, pos + 1, header[1:])
+            if pos + 1 + count > len(lines):
+                raise ParseError(path, pos + 1, f"truncated {header[0]} section")
+            section = lines[pos + 1 : pos + 1 + count]
+            if header[0] == "VOCAB":
+                vocab_tokens = section
+            else:
+                labels = section
             pos += 1 + count
-        elif header[0] == "LABELS":
-            count = int(header[1])
-            labels = lines[pos + 1 : pos + 1 + count]
-            pos += 1 + count
-        elif header[0] == "PARAM":
+        elif header[0] == "PARAM" and len(header) >= 4:
             name = header[1]
-            ndim = int(header[2])
-            shape = tuple(int(s) for s in header[3 : 3 + ndim])
+            ndim, *shape = _counts(path, pos + 1, header[2:])
+            if ndim != len(shape):
+                raise ParseError(path, pos + 1, f"PARAM {name}: {ndim} dims, {len(shape)} sizes")
             n_rows = 1 if ndim == 1 else int(np.prod(shape[:-1]))
-            rows = [
-                [float(v) for v in lines[pos + 1 + r].split(" ")]
-                for r in range(n_rows)
-            ]
+            if pos + 1 + n_rows > len(lines):
+                raise ParseError(path, pos + 1, f"truncated PARAM {name} block")
+            rows = []
+            for line_no in range(pos + 2, pos + 2 + n_rows):
+                values = lines[line_no - 1].split(" ")
+                if len(values) != shape[-1]:
+                    raise ParseError(
+                        path, line_no, f"expected {shape[-1]} values, got {len(values)}"
+                    )
+                try:
+                    rows.append([float(v) for v in values])
+                except ValueError:
+                    raise ParseError(path, line_no, "non-numeric parameter value") from None
             params[name] = np.array(rows, dtype=np.float64).reshape(shape)
             pos += 1 + n_rows
         else:
             raise ParseError(path, pos + 1, f"unexpected section {lines[pos]!r}")
+    try:
+        return _model_of(path, desc, pairs, vocab_tokens, labels, params)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(path, 1, f"bad model: {exc!r}") from None
 
+
+def _model_of(path, desc, pairs, vocab_tokens, labels, params):
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
 
     if desc.kind == "NAIVE_ALL_ENTITY":

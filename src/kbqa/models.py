@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedQuestion, EmbeddingTable
+from .corpus import EmbeddingTable
 from .neural.config import TrainConfig
 from .neural.layers import (
     BidirectionalLayer,
@@ -33,7 +33,7 @@ from .neural.layers import (
 )
 from .neural.optim import Optimizer
 from .seeding import rng_for
-from .textproc import noun_chunk_filter, pos_tag
+from .textproc import FilterResult, noun_chunk_filter, pos_tag
 
 __all__ = [
     "ArchitectureDescriptor",
@@ -49,6 +49,8 @@ __all__ = [
     "entity_phrase",
     "predict_relation",
     "predict_tags",
+    "relation_accuracy",
+    "tag_accuracy",
     "train",
 ]
 
@@ -509,31 +511,38 @@ def build_model(
 # -- shared prediction helpers ----------------------------------------------
 
 
-def predict_tags(model, tokens, lexicon=None, pos_tags=None) -> TagPrediction:
+def _model_input(model, tokens, lexicon) -> FilterResult:
+    """The tokens a model reads for a question: its noun clusters when the
+    model's descriptor asks for the noun filter, otherwise every token."""
+    if model.descriptor.noun_filter:
+        return noun_chunk_filter(tokens, pos_tag(tokens, lexicon))
+    return FilterResult(tuple(tokens), tuple(range(len(tokens))))
+
+
+def predict_tags(model, tokens, lexicon=None) -> TagPrediction:
     """Tag a question, applying noun-cluster filtering when the model's
     descriptor asks for it and falling back to all-ones on an all-zero
     prediction."""
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot tag an empty token sequence")
-    degraded = False
-    if model.descriptor.noun_filter:
-        tag_seq = list(pos_tags) if pos_tags is not None else pos_tag(tokens, lexicon)
-        filtered = noun_chunk_filter(tokens, tag_seq)
-        input_tokens = list(filtered.kept_tokens)
-        index_map = list(filtered.index_map)
-        degraded = filtered.degraded
-    else:
-        input_tokens = tokens
-        index_map = list(range(len(tokens)))
-    raw = list(model.predict_token_tags(input_tokens))
+    seen = _model_input(model, tokens, lexicon)
+    raw = list(model.predict_token_tags(seen.kept_tokens))
+    degraded = seen.degraded
     if all(t == 0 for t in raw):
-        raw = [1] * len(input_tokens)
+        raw = [1] * len(seen.kept_tokens)
         degraded = True
     mapped = [0] * len(tokens)
-    for pos, src in enumerate(index_map):
+    for pos, src in enumerate(seen.index_map):
         mapped[src] = raw[pos]
     return TagPrediction(tuple(raw), tuple(mapped), degraded)
+
+
+def tag_accuracy(predictions, questions) -> float:
+    """Question-level entity-detection accuracy: the share of questions
+    whose mapped tags equal their gold tags exactly."""
+    pairs = zip(predictions, questions, strict=True)
+    return sum(pred.mapped_tags == q.gold_tags for pred, q in pairs) / len(questions)
 
 
 def entity_phrase(tags, tokens) -> list[str]:
@@ -560,10 +569,14 @@ def predict_relation(model, tokens, lexicon=None) -> tuple[str, float]:
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot classify an empty token sequence")
-    if getattr(model.descriptor, "noun_filter", False):
-        filtered = noun_chunk_filter(tokens, pos_tag(tokens, lexicon))
-        tokens = list(filtered.kept_tokens)
-    return model.predict_label(tokens)
+    return model.predict_label(_model_input(model, tokens, lexicon).kept_tokens)
+
+
+def relation_accuracy(labels, questions) -> float:
+    """Relation-prediction accuracy: the share of questions whose predicted
+    label equals their gold relation."""
+    pairs = zip(labels, questions, strict=True)
+    return sum(label == q.gold_relation for label, q in pairs) / len(questions)
 
 
 # -- training -----------------------------------------------------------------
@@ -576,25 +589,31 @@ class EpochStats:
     valid_accuracy: float  # nan when there is no validation set
 
 
-def _entity_example(model, question: AnnotatedQuestion, lexicon):
-    """Model-input tokens and aligned gold tags for one question."""
-    if model.descriptor.noun_filter:
-        filtered = noun_chunk_filter(list(question.tokens), pos_tag(list(question.tokens), lexicon))
-        tokens = list(filtered.kept_tokens)
-        tags = [question.gold_tags[i] for i in filtered.index_map]
-    else:
-        tokens = list(question.tokens)
-        tags = list(question.gold_tags)
-    return tokens, tags
+def _examples(model, questions, lexicon) -> list[tuple[list[str], object]]:
+    """(model-input tokens, target) per question: the label index for a
+    relation model, the gold tags aligned to those tokens for a tagger."""
+    examples = []
+    for q in questions:
+        seen = _model_input(model, q.tokens, lexicon)
+        if model.descriptor.task == "RELATION":
+            target = model.label_space.index(q.gold_relation)
+            if target is None:
+                raise ValueError(f"training label {q.gold_relation!r} outside label space")
+        else:
+            target = [q.gold_tags[i] for i in seen.index_map]
+        examples.append((list(seen.kept_tokens), target))
+    return examples
 
 
-def _encode_entity_batch(model, examples):
-    token_seqs = [tokens for tokens, _ in examples]
-    ids, mask = model.encode(token_seqs)
+def _batch(model, examples):
+    """Padded ids, mask and targets for a list of examples."""
+    ids, mask = model.encode([tokens for tokens, _ in examples])
+    if model.descriptor.task == "RELATION":
+        return ids, mask, np.array([target for _, target in examples], dtype=np.int64)
     targets = np.zeros_like(ids)
     for b, (_, tags) in enumerate(examples):
-        for t, tag in enumerate(tags[: ids.shape[1]]):
-            targets[b, t] = tag
+        tags = tags[: ids.shape[1]]
+        targets[b, : len(tags)] = tags
     return ids, mask, targets
 
 
@@ -602,16 +621,9 @@ def _valid_accuracy(model, questions, lexicon) -> float:
     if not questions:
         return float("nan")
     if model.descriptor.task == "RELATION":
-        correct = 0
-        for q in questions:
-            label, _ = predict_relation(model, list(q.tokens), lexicon)
-            correct += int(label == q.gold_relation)
-        return correct / len(questions)
-    correct = 0
-    for q in questions:
-        pred = predict_tags(model, list(q.tokens), lexicon)
-        correct += int(pred.mapped_tags == q.gold_tags)
-    return correct / len(questions)
+        labels = [predict_relation(model, q.tokens, lexicon)[0] for q in questions]
+        return relation_accuracy(labels, questions)
+    return tag_accuracy([predict_tags(model, q.tokens, lexicon) for q in questions], questions)
 
 
 def train(
@@ -640,40 +652,8 @@ def train(
     model._dropout_rng = rng_for(config.seed, "dropout")
     if not config.freeze_embeddings:
         model.embedding.trainable = True
-    if config.dropout_rates is not None:
-        if len(config.dropout_rates) != len(model.drops):
-            raise ValueError(
-                f"model has {len(model.drops)} dropout sites, config gives "
-                f"{len(config.dropout_rates)} rates"
-            )
-        for drop, rate in zip(model.drops, config.dropout_rates):
-            drop.rate = rate
 
-    if model.descriptor.task == "RELATION":
-        examples = []
-        for q in train_set:
-            idx = model.label_space.index(q.gold_relation)
-            if idx is None:
-                raise ValueError(f"training label {q.gold_relation!r} outside label space")
-            tokens = list(q.tokens)
-            if model.descriptor.noun_filter:
-                tokens = list(
-                    noun_chunk_filter(tokens, pos_tag(tokens, lexicon)).kept_tokens
-                )
-            examples.append((tokens, idx))
-
-        def batch_of(indices):
-            seqs = [examples[i][0] for i in indices]
-            ids, mask = model.encode(seqs)
-            targets = np.array([examples[i][1] for i in indices], dtype=np.int64)
-            return ids, mask, targets
-
-    else:
-        examples = [_entity_example(model, q, lexicon) for q in train_set]
-
-        def batch_of(indices):
-            return _encode_entity_batch(model, [examples[i] for i in indices])
-
+    examples = _examples(model, train_set, lexicon)
     shuffle_rng = rng_for(config.seed, "shuffle")
     n = len(examples)
     log: list[EpochStats] = []
@@ -684,7 +664,7 @@ def train(
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             indices = order[start : start + config.batch_size]
-            batch = batch_of(indices)
+            batch = _batch(model, [examples[i] for i in indices])
             loss, grads = model.loss_and_grads(batch, training=True)
             optimizer.step(model.trainable_params(), grads)
             total_loss += loss * len(indices)

@@ -9,9 +9,7 @@ __all__ = ["TrainConfig"]
 class TrainConfig:
     """Knobs for one training run.
 
-    dropout_rates, when given, override the rates baked into the model's
-    architecture descriptor for this run.  All shuffling and dropout
-    randomness derives from seed.
+    All shuffling and dropout randomness derives from seed.
     """
 
     epochs: int
@@ -19,7 +17,6 @@ class TrainConfig:
     max_len: int = 36
     l1_activity: float = 0.0
     seed: int = 0
-    dropout_rates: tuple[float, ...] | None = None
     freeze_embeddings: bool = True
 
     def __post_init__(self):
@@ -31,6 +28,3 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.l1_activity < 0:
             raise ValueError(f"l1_activity must be >= 0, got {self.l1_activity}")
-        for rate in self.dropout_rates or ():
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout rates must be in [0, 1), got {rate}")

@@ -15,7 +15,7 @@ from .index import (
     query_entity_index,
     query_reach,
 )
-from .models import entity_phrase, predict_relation, predict_tags
+from .models import TagPrediction, entity_phrase, predict_relation, predict_tags
 from .textproc import tokenize
 
 __all__ = ["Answer", "StructuredQuery", "answer", "build_structured_query"]
@@ -26,6 +26,12 @@ class StructuredQuery:
     entity_phrase: tuple[str, ...]
     relation: str
     degraded: bool = False
+
+    @classmethod
+    def of(cls, tag_pred: TagPrediction, relation: str, tokens) -> "StructuredQuery":
+        """The query formed by a question's tag prediction and relation."""
+        phrase = entity_phrase(tag_pred.mapped_tags, tokens)
+        return cls(tuple(phrase), relation, tag_pred.degraded)
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,8 @@ def build_structured_query(
     if not tokens:
         raise ValueError(f"question {question_text!r} has no tokens")
     tag_pred = predict_tags(entity_model, tokens, lexicon)
-    phrase = entity_phrase(tag_pred.mapped_tags, tokens)
     relation, _ = predict_relation(relation_model, tokens, lexicon)
-    return StructuredQuery(tuple(phrase), relation, tag_pred.degraded)
+    return StructuredQuery.of(tag_pred, relation, tokens)
 
 
 def answer(

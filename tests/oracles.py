@@ -9,6 +9,9 @@ import math
 import numpy as np
 
 from kbqa.corpus import Fact, KnowledgeBase
+from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
+from kbqa.models import predict_relation, predict_tags
+from kbqa.pipeline import build_structured_query
 
 
 def sigmoid_scalar(v: float) -> float:
@@ -294,3 +297,36 @@ def random_kb(rng: np.random.Generator, max_aliases: int = 100, max_facts: int =
 def random_phrase(rng: np.random.Generator, max_len: int = 4):
     length = int(rng.integers(1, max_len + 1))
     return [str(rng.choice(_WORD_POOL)) for _ in range(length)]
+
+
+def evaluate_reference(
+    dataset, entity_index=None, entity_models=None, relation_models=None,
+    pipelines=None, lexicon=None, k=50,
+):
+    """evaluate() as three independent loops: the ED and RP rows predict per
+    model and question, and each pipeline runs both of its models again
+    from the question text."""
+    dataset = list(dataset)
+    rows = []
+    for name, model in (entity_models or {}).items():
+        q_correct = tok_correct = tok_total = 0
+        for q in dataset:
+            pred = predict_tags(model, list(q.tokens), lexicon)
+            q_correct += int(pred.mapped_tags == q.gold_tags)
+            tok_correct += sum(int(p == g) for p, g in zip(pred.mapped_tags, q.gold_tags))
+            tok_total += len(q.gold_tags)
+        rows.append(ReportRow(name, ed_question_accuracy=q_correct / len(dataset),
+                              ed_token_accuracy=tok_correct / tok_total))
+    for name, model in (relation_models or {}).items():
+        correct = sum(
+            int(predict_relation(model, list(q.tokens), lexicon)[0] == q.gold_relation)
+            for q in dataset
+        )
+        rows.append(ReportRow(name, rp_accuracy=correct / len(dataset)))
+    for name, (entity_model, relation_model) in (pipelines or {}).items():
+        correct = 0
+        for q in dataset:
+            query = build_structured_query(entity_model, relation_model, q.text, lexicon)
+            correct += int(question_correct(query, q, entity_index, k))
+        rows.append(ReportRow(name, end_to_end_accuracy=correct / len(dataset)))
+    return AccuracyReport(tuple(rows))

@@ -221,6 +221,76 @@ class TestEndToEnd:
         assert "NB_MULTINOMIAL" in out
 
 
+
+def first_line(path, prefix) -> int:
+    """1-based number of the first line of path that starts with prefix."""
+    lines = path.read_text().split("\n")
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
+
+
+def replace_line(path, line_no, edit):
+    lines = path.read_text().split("\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_text("\n".join(lines))
+
+
+def keep_header_only(path):
+    path.write_text("QAIDX 1\n")
+    return 2
+
+
+def cut_posting(path):
+    line_no = first_line(path, "POSTINGS ") + 3
+    replace_line(path, line_no, lambda line: line.rsplit("\t", 1)[0])
+    return line_no
+
+
+def bad_weight(path):
+    line_no = first_line(path, "POSTINGS ") + 2
+    replace_line(path, line_no, lambda line: line.rsplit("\t", 1)[0] + "\tabc")
+    return line_no
+
+
+def bad_alias_count(path):
+    replace_line(path, 2, lambda line: "ALIASES x")
+    return 2
+
+
+def bad_df(path):
+    line_no = first_line(path, "DF ") + 1
+    replace_line(path, line_no, lambda line: line.split("\t")[0] + "\tz")
+    return line_no
+
+
+class TestArtifactErrors:
+    """A malformed index or model file exits 1 and names the bad line."""
+
+    def ask(self, index, em, rm):
+        return run_cli(
+            "ask", "--question", "How old is Tom Hanks?", "--index", str(index),
+            "--entity-model", str(em), "--relation-model", str(rm),
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt", [keep_header_only, cut_posting, bad_weight, bad_alias_count, bad_df]
+    )
+    def test_bad_index(self, indexed, tmp_path, capsys, corrupt):
+        em, rm = train_toy_models(indexed, tmp_path)
+        index = indexed[3]
+        line_no = corrupt(index)
+        capsys.readouterr()
+        assert self.ask(index, em, rm) == 1
+        assert f"{index}:{line_no}: " in capsys.readouterr().err
+
+    def test_truncated_model(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        n_lines = rm.read_text().count("\n")
+        rm.write_bytes(rm.read_bytes()[:-5])
+        capsys.readouterr()
+        assert self.ask(indexed[3], em, rm) == 1
+        assert f"{rm}:{n_lines}: " in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_train_and_eval_byte_identical(self, indexed, tmp_path, capsys):
         facts, aliases, questions, index = indexed

@@ -11,14 +11,17 @@ from kbqa.evaluation import (
 from kbqa.index import build_entity_index
 from kbqa.models import (
     ArchitectureDescriptor,
+    NeuralSequenceModel,
     RelationLabelSpace,
     build_model,
     default_descriptor,
+    train,
 )
 from kbqa.neural import TrainConfig, make_optimizer
 from kbqa.pipeline import StructuredQuery
 
-from corpora import trigger_relation_corpus
+from corpora import entity_template_corpus, trigger_relation_corpus
+from oracles import evaluate_reference
 
 
 def kb_of(aliases, facts=()):
@@ -146,6 +149,71 @@ class TestEvaluate:
             "rp_accuracy",
             "end_to_end_accuracy",
         ]
+
+
+def trained_pair(entity_kind, relation_kind, questions, relation_noun_filter=False):
+    """A seeded desk-scale (entity, relation) model pair, trained 6 epochs."""
+    labels = RelationLabelSpace.from_questions(questions)
+    vocab = [t for q in questions for t in q.tokens]
+    embeddings = random_embedding_table(vocab, 12, seed=5)
+    models = []
+    for task, kind, noun_filter in (
+        ("ENTITY", entity_kind, None),
+        ("RELATION", relation_kind, relation_noun_filter),
+    ):
+        desc = default_descriptor(task, kind, desk_scale=25, noun_filter=noun_filter)
+        model = build_model(desc, embeddings, labels, vocab_tokens=vocab, seed=3)
+        config = TrainConfig(epochs=6, batch_size=8, seed=3)
+        train(model, questions, config, make_optimizer("ADAM_COUPLED", 0.01))
+        models.append(model)
+    return tuple(models)
+
+
+class TestOneQuestionPass:
+    """evaluate() runs each model once per question and reports exactly
+    what the three-loop reference reports."""
+
+    @pytest.mark.parametrize(
+        "entity_kind,relation_kind,noun_filter",
+        [("BILSTM2", "BIGRU2", False), ("NT_BILSTM1", "CONV_GRU", True)],
+    )
+    def test_reports_match_reference(self, entity_kind, relation_kind, noun_filter):
+        questions, kb = entity_template_corpus(60, seed=5, n_names=12)
+        em, rm = trained_pair(entity_kind, relation_kind, questions, noun_filter)
+        assert rm.descriptor.noun_filter is noun_filter
+        args = (questions, build_entity_index(kb))
+        kwargs = dict(
+            entity_models={"ED": em},
+            relation_models={"RP": rm},
+            pipelines={"pipeline": (em, rm)},
+            k=5,
+        )
+        got = evaluate(*args, **kwargs)
+        want = evaluate_reference(*args, **kwargs)
+        assert got.to_text() == want.to_text()
+        assert got.to_tsv() == want.to_tsv()
+
+    def test_two_forward_passes_per_question(self, monkeypatch):
+        questions, kb = entity_template_corpus(20, seed=6, n_names=8)
+        em, rm = trained_pair("NT_BILSTM1", "BIGRU2", questions)
+        calls = []
+        original = NeuralSequenceModel.predict_probs
+
+        def counted(self, token_seqs):
+            calls.append(self)
+            return original(self, token_seqs)
+
+        monkeypatch.setattr(NeuralSequenceModel, "predict_probs", counted)
+        evaluate(
+            questions,
+            build_entity_index(kb),
+            entity_models={"ED": em},
+            relation_models={"RP": rm},
+            pipelines={"pipeline": (em, rm)},
+        )
+        assert calls.count(em) == len(questions)
+        assert calls.count(rm) == len(questions)
+        assert len(calls) == 2 * len(questions)
 
 
 class TestBasinHopTune:

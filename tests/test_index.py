@@ -180,6 +180,13 @@ class TestSerialization:
         save_indexes(build_entity_index(kb), build_reach_index(kb), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_line_separator_in_fact_roundtrips(self, tmp_path):
+        kb = kb_of({"e1": ("tom hanks",)}, facts=[("e1", "bornOn", "19\u202856"), ("e1", "r", "x")])
+        reach_idx = build_reach_index(kb)
+        path = tmp_path / "kb.qaidx"
+        save_indexes(build_entity_index(kb), reach_idx, str(path))
+        assert load_indexes(str(path))[1] == reach_idx
+
 
 class TestAnswerOracle:
     def test_matches_brute_force(self):

@@ -6,8 +6,8 @@ from kbqa.gradsuite import build_check_model, run_gradcheck_suite, suite_archite
 from kbqa.model_io import load_model, save_model
 from kbqa.models import (
     ArchitectureDescriptor,
-    _encode_entity_batch,
-    _entity_example,
+    _batch,
+    _examples,
     build_model,
     train,
 )
@@ -285,9 +285,7 @@ class TestTrainedGradCheck:
         desc = ArchitectureDescriptor("ENTITY", "BILSTM2", (6, 4), (0.0, 0.0))
         model = build_model(desc, embeddings, None, vocab_tokens=vocab, seed=5)
         optimizer = Adam(0.02)
-        batch = _encode_entity_batch(
-            model, [_entity_example(model, q, None) for q in corpus[:4]]
-        )
+        batch = _batch(model, _examples(model, corpus[:4], None))
         for chunk in range(80):
             train(model, corpus, TrainConfig(epochs=10, batch_size=10, seed=chunk), optimizer)
             if model.loss(batch) < 3e-5:

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from kbqa.corpus import AnnotatedQuestion, random_embedding_table
+from kbqa.errors import ParseError
 from kbqa.model_io import load_model, save_model
 from kbqa.models import (
     ArchitectureDescriptor,
+    NeuralSequenceModel,
     RelationLabelSpace,
     build_model,
     default_descriptor,
     entity_phrase,
     predict_relation,
     predict_tags,
+    train,
 )
+from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.textproc import noun_chunk_filter, pos_tag
+
+from corpora import entity_template_corpus
 
 
 def nb_model(data, labels, alpha=1.0):
@@ -139,6 +146,38 @@ class TestPredictTags:
         pred = predict_tags(model, ["is", "tom", "hanks", "running"])
         kept = {i for i, tag in enumerate(pred.mapped_tags) if tag == 1}
         assert 0 not in kept  # "is" is closed-class, filtered
+
+
+class TestModelInput:
+    def test_prediction_and_training_read_the_same_tokens(self, monkeypatch):
+        questions, _ = entity_template_corpus(30, seed=4, n_names=8)
+        kept = sorted(
+            noun_chunk_filter(list(q.tokens), pos_tag(list(q.tokens))).kept_tokens
+            for q in questions
+        )
+        assert sum(map(len, kept)) < sum(len(q.tokens) for q in questions)
+        labels = RelationLabelSpace.from_questions(questions)
+        vocab = [t for q in questions for t in q.tokens]
+        embeddings = random_embedding_table(vocab, 8, seed=2)
+        seen = []
+        original = NeuralSequenceModel.encode
+
+        def recording(self, token_seqs):
+            seen.extend(tuple(seq) for seq in token_seqs)
+            return original(self, token_seqs)
+
+        monkeypatch.setattr(NeuralSequenceModel, "encode", recording)
+        for task, predict in (("ENTITY", predict_tags), ("RELATION", predict_relation)):
+            desc = default_descriptor(task, "NT_BILSTM1", desk_scale=40, noun_filter=True)
+            model = build_model(desc, embeddings, labels, vocab_tokens=vocab, seed=1)
+            seen.clear()
+            config = TrainConfig(epochs=1, batch_size=len(questions))
+            train(model, questions, config, make_optimizer("SGD", 0.1))
+            assert sorted(seen) == kept
+            seen.clear()
+            for q in questions:
+                predict(model, q.tokens)
+            assert sorted(seen) == kept
 
 
 class TestEntityPhrase:
@@ -280,3 +319,58 @@ class TestSerialization:
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert predict_tags(loaded, ["a", "b"]).mapped_tags == (1, 1)
+
+
+class TestModelFileErrors:
+    @pytest.fixture
+    def saved(self, embeddings, tmp_path):
+        desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=40)
+        model = build_model(desc, embeddings, None, vocab_tokens=["tom", "hanks"], seed=4)
+        path = tmp_path / "model.qam"
+        save_model(model, str(path))
+        return path
+
+    @staticmethod
+    def edit_line(path, line_no, edit):
+        lines = path.read_text().split("\n")
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        path.write_text("\n".join(lines))
+
+    @staticmethod
+    def row_line(path) -> int:
+        """Line number of the first PARAM block's first row."""
+        lines = path.read_text().split("\n")
+        return next(i for i, line in enumerate(lines) if line.startswith("PARAM ")) + 2
+
+    def test_truncated_file_rejected(self, saved):
+        n_lines = saved.read_text().count("\n")
+        saved.write_bytes(saved.read_bytes()[:-5])
+        with pytest.raises(ParseError, match=f"{saved}:{n_lines}:"):
+            load_model(str(saved))
+
+    def test_missing_rows_rejected(self, saved):
+        lines = saved.read_text().split("\n")[:-1]
+        header = max(i for i, line in enumerate(lines) if line.startswith("PARAM ")) + 1
+        saved.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ParseError, match=f"{saved}:{header}: truncated"):
+            load_model(str(saved))
+
+    def test_short_row_rejected(self, saved):
+        row = self.row_line(saved)
+        self.edit_line(saved, row, lambda line: line.rsplit(" ", 1)[0])
+        with pytest.raises(ParseError, match=f"{saved}:{row}: expected"):
+            load_model(str(saved))
+
+    def test_non_numeric_value_rejected(self, saved):
+        row = self.row_line(saved)
+        self.edit_line(saved, row, lambda line: "abc" + line[line.index(" "):])
+        with pytest.raises(ParseError, match=f"{saved}:{row}: non-numeric"):
+            load_model(str(saved))
+
+    def test_line_separator_in_label_roundtrips(self, tmp_path):
+        labels = RelationLabelSpace(("born\u2028on", "died"))
+        model = build_model(ArchitectureDescriptor("RELATION", "MAJORITY"), None, labels)
+        model.fit([question(["x"], "born\u2028on")])
+        path = tmp_path / "maj.qam"
+        save_model(model, str(path))
+        assert load_model(str(path)).label_space == labels

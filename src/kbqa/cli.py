@@ -18,24 +18,46 @@ from .corpus import (
     random_embedding_table,
     split_dataset,
 )
-from .errors import QAError, UsageError
+from .artifact import text_lines
+from .errors import ParseError, QAError, UsageError
 from .evaluation import basin_hop_tune, benchmark_training, evaluate
 from .gradsuite import run_gradcheck_suite
 from .index import build_entity_index, build_reach_index, load_indexes, save_indexes
 from .model_io import load_model, save_model
 from .models import (
     NEURAL_KINDS,
+    TASKS,
     RelationLabelSpace,
     build_model,
     default_descriptor,
     train,
 )
 from .neural.config import TrainConfig
-from .neural.optim import make_optimizer
+from .neural.optim import OPTIMIZER_KINDS, make_optimizer
 from .pipeline import answer, build_structured_query
 from .textproc import load_pos_lexicon
 
 __all__ = ["Command", "main", "parse_args", "run"]
+
+_SPLITS = ("train", "valid", "test", "all")
+
+
+def _choice(options):
+    """Config parser for a value that must be one of options."""
+
+    def parse(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return value
+
+    return parse
+
+
+def _flag(value: str) -> bool:
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected 1/true/yes or 0/false/no")
+    return value in ("1", "true", "yes")
+
 
 # typed schema for config-file keys; parsers raise ValueError on bad input
 _SCHEMA = {
@@ -46,7 +68,7 @@ _SCHEMA = {
     "learning_rate": float,
     "l1_activity": float,
     "weight_decay": float,
-    "optimizer": str,
+    "optimizer": _choice(OPTIMIZER_KINDS),
     "hidden": str,
     "dropout": str,
     "ratios": str,
@@ -55,14 +77,14 @@ _SCHEMA = {
     "embedding_dim": int,
     "alpha": float,
     "kind": str,
-    "task": str,
-    "noun_filter": lambda s: s.strip() in ("1", "true", "yes"),
-    "freeze_embeddings": lambda s: s.strip() in ("1", "true", "yes"),
-    "skip_unmatched": lambda s: s.strip() in ("1", "true", "yes"),
+    "task": _choice(TASKS),
+    "noun_filter": _flag,
+    "freeze_embeddings": _flag,
+    "skip_unmatched": _flag,
     "budget": int,
     "tolerance": float,
     "fd_step": float,
-    "split": str,
+    "split": _choice(_SPLITS),
 }
 
 _DEFAULTS = {
@@ -100,8 +122,8 @@ def read_config(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    try:
+        for line_no, raw in text_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -114,10 +136,12 @@ def read_config(path: str) -> dict:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
                 values[key] = _SCHEMA[key](value)
-            except ValueError:
+            except ValueError as exc:
                 raise UsageError(
-                    f"{path}:{line_no}: bad value {value!r} for key {key!r}"
+                    f"{path}:{line_no}: bad value {value!r} for key {key!r}: {exc}"
                 ) from None
+    except ParseError as exc:  # bytes that are not UTF-8
+        raise UsageError(str(exc)) from None
     return values
 
 
@@ -136,7 +160,7 @@ def _add_data(parser, questions=True):
 
 
 def _add_model_options(parser):
-    parser.add_argument("--task", choices=["ENTITY", "RELATION"])
+    parser.add_argument("--task", choices=TASKS)
     parser.add_argument("--kind")
     parser.add_argument("--hidden", help="comma-separated layer sizes")
     parser.add_argument("--dropout", help="comma-separated dropout rates")
@@ -152,7 +176,7 @@ def _add_train_options(parser):
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--batch-size", type=int)
     parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--optimizer", choices=["SGD", "ADAM_COUPLED", "ADAM_DECOUPLED"])
+    parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS)
     parser.add_argument("--weight-decay", type=float)
     parser.add_argument("--l1-activity", type=float)
     parser.add_argument("--alpha", type=float)
@@ -182,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entity-model")
     p.add_argument("--relation-model")
     p.add_argument("--lexicon")
-    p.add_argument("--split", choices=["train", "valid", "test", "all"])
+    p.add_argument("--split", choices=_SPLITS)
     p.add_argument("--k", type=int)
     p.add_argument("--report-out", help="prefix for the .txt/.tsv report files")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import text_lines
 from .errors import IntegrityError, ParseError, TaggingError
 from .textproc import tokenize
 
@@ -52,9 +53,6 @@ class KnowledgeBase:
 
     facts: tuple[Fact, ...]
     aliases: dict[str, tuple[str, ...]]
-
-    def alias_set(self, entity: str) -> set[str]:
-        return set(self.aliases.get(entity, ()))
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,18 @@ class EmbeddingTable:
 
 def _read_fields(path: str, n_fields: int):
     """Yield (line_no, fields) for non-empty lines, enforcing field count."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
-                )
-            if any(not f for f in fields):
-                raise ParseError(path, line_no, "empty field")
-            yield line_no, fields
+    for line_no, raw in text_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        if any(not f for f in fields):
+            raise ParseError(path, line_no, "empty field")
+        yield line_no, fields
 
 
 def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
@@ -227,23 +224,20 @@ def load_embeddings(path: str, expected_dim: int, seed: int) -> EmbeddingTable:
     if expected_dim < 1:
         raise ValueError(f"expected_dim must be >= 1, got {expected_dim}")
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
-            if len(values) != expected_dim:
-                raise ParseError(
-                    path, line_no, f"expected {expected_dim} values, got {len(values)}"
-                )
-            if token in vectors:
-                raise ParseError(path, line_no, f"duplicate token {token!r}")
-            try:
-                vectors[token] = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric embedding value") from None
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        token, values = parts[0], parts[1:]
+        if len(values) != expected_dim:
+            raise ParseError(path, line_no, f"expected {expected_dim} values, got {len(values)}")
+        if token in vectors:
+            raise ParseError(path, line_no, f"duplicate token {token!r}")
+        try:
+            vectors[token] = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ParseError(path, line_no, "non-numeric embedding value") from None
     unk = np.random.default_rng(seed).uniform(-0.05, 0.05, size=expected_dim)
     return EmbeddingTable(expected_dim, vectors, unk)
 

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .artifact import Artifact
 from .corpus import KnowledgeBase
 from .errors import IntegrityError, ParseError
 from .textproc import ngrams
@@ -170,71 +171,34 @@ def save_indexes(entity_index: EntityIndex, reach_index: ReachIndex, path: str) 
 
 def load_indexes(path: str) -> tuple[EntityIndex, ReachIndex]:
     """Inverse of save_indexes."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0] != "QAIDX 1":
-        raise ParseError(path, 1, "not a QAIDX 1 file")
-    if lines.pop() != "":
-        raise ParseError(path, len(lines) + 1, "truncated file: no final newline")
-    pos = 1
-
-    def count(prefix: str) -> int:
-        """The count on the next 'PREFIX count' header line."""
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(path, pos + 1, f"missing {prefix} section")
-        header = lines[pos].split(" ")
-        if len(header) != 2 or header[0] != prefix:
-            raise ParseError(path, pos + 1, f"expected {prefix!r} header, got {lines[pos]!r}")
-        if not (header[1].isascii() and header[1].isdigit()):
-            raise ParseError(path, pos + 1, f"bad count in {lines[pos]!r}")
-        pos += 1
-        return int(header[1])
-
-    def take(prefix: str) -> tuple[int, list[str]]:
-        """Index in lines of the section's first line, and its lines."""
-        nonlocal pos
-        n = count(prefix)
-        if pos + n > len(lines):
-            raise ParseError(path, pos, f"truncated {prefix} section")
-        start = pos
-        pos += n
-        return start, lines[start:pos]
-
-    def bad(start: int, rows: list[str], line: str, what: str) -> ParseError:
-        # rows parse in order, so a bad line's first copy is the one that failed
-        return ParseError(path, start + rows.index(line) + 1, f"bad {what} line {line!r}")
-
-    alias_count = count("ALIASES")
+    src = Artifact(path, "QAIDX 1\n")
+    alias_count = src.count("ALIASES")
 
     df: dict[str, int] = {}
-    start, rows = take("DF")
     try:
-        for line in rows:
+        for line in src.take(src.count("DF")):
             gram, value = line.split("\t")
             df[gram] = int(value)
     except ValueError:
-        raise bad(start, rows, line, "DF") from None
+        raise src.bad(line, f"bad DF line {line!r}") from None
 
     postings: dict[str, list[tuple[str, str, float]]] = {}
-    start, rows = take("POSTINGS")
     try:
-        for line in rows:
+        for line in src.take(src.count("POSTINGS")):
             gram, entity, alias, weight = line.split("\t")
             postings.setdefault(gram, []).append((entity, alias, float(weight)))
     except ValueError:
-        raise bad(start, rows, line, "posting") from None
+        raise src.bad(line, f"bad posting line {line!r}") from None
 
     edges: dict[str, list[tuple[str, str]]] = {}
-    start, rows = take("EDGES")
     try:
-        for line in rows:
+        for line in src.take(src.count("EDGES")):
             subject, relation, obj = line.split("\t")
             edges.setdefault(subject, []).append((relation, obj))
     except ValueError:
-        raise bad(start, rows, line, "edge") from None
-    if pos != len(lines):
-        raise ParseError(path, pos + 1, f"unexpected line after EDGES: {lines[pos]!r}")
+        raise src.bad(line, f"bad edge line {line!r}") from None
+    if not src.done():
+        raise ParseError(path, src.pos + 1, f"unexpected line after EDGES: {src.lines[src.pos]!r}")
 
     entity_index = EntityIndex(
         {g: tuple(rows) for g, rows in postings.items()}, alias_count, df

@@ -7,8 +7,11 @@ Floats are written with repr so files round-trip bit-exactly and
 identical runs produce identical bytes.
 """
 
+import math
+
 import numpy as np
 
+from .artifact import Artifact
 from .errors import ParseError
 from .models import (
     ArchitectureDescriptor,
@@ -20,6 +23,13 @@ from .models import (
 )
 
 __all__ = ["load_model", "save_model"]
+
+# the arrays each baseline kind stores; neural kinds store all_params()
+_BASELINE_ARRAYS = {
+    "MAJORITY": ("counts",),
+    "NB_MULTINOMIAL": ("class_counts", "token_counts", "total_tokens"),
+    "NAIVE_ALL_ENTITY": (),
+}
 
 
 def _fmt(value: float) -> str:
@@ -53,22 +63,21 @@ def _parse_descriptor(pairs: dict[str, str]) -> ArchitectureDescriptor:
 
 
 def _param_lines(name: str, array: np.ndarray) -> list[str]:
-    array = np.asarray(array, dtype=np.float64)
-    shape = array.shape if array.ndim else (1,)
-    lines = [f"PARAM {name} {len(shape)} {' '.join(str(s) for s in shape)}"]
-    rows = array.reshape(-1, shape[-1]) if array.ndim > 1 else array.reshape(1, -1)
-    for row in rows:
+    lines = [f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}"]
+    for row in array.reshape(-1, array.shape[-1]):
         lines.append(" ".join(_fmt(v) for v in row))
     return lines
 
 
-def save_model(model, path: str) -> None:
-    desc = model.descriptor
-    pairs = _descriptor_pairs(desc)
-    params: dict[str, np.ndarray] = {}
-    vocab: dict[str, int] | None = None
-    labels = None
+def _stored_arrays(model) -> dict[str, np.ndarray]:
+    """The arrays a model file stores, by name, in file order."""
+    if isinstance(model, NeuralSequenceModel):
+        return model.all_params()
+    return {name: getattr(model, name) for name in _BASELINE_ARRAYS[model.descriptor.kind]}
 
+
+def save_model(model, path: str) -> None:
+    pairs = _descriptor_pairs(model.descriptor)
     if isinstance(model, NeuralSequenceModel):
         pairs += [
             ("max_len", str(model.max_len)),
@@ -76,139 +85,93 @@ def save_model(model, path: str) -> None:
             ("frozen", "0" if model.embedding.trainable else "1"),
             ("l1", _fmt(model.l1_activity)),
         ]
-        vocab = model.vocab
-        labels = model.label_space
-        params = model.all_params()
-    elif isinstance(model, MajorityModel):
-        labels = model.label_space
-        params = {"counts": model.counts}
     elif isinstance(model, MultinomialNBModel):
         pairs.append(("alpha", _fmt(model.alpha)))
-        labels = model.label_space
-        vocab = model.vocab
-        params = {
-            "class_counts": model.class_counts,
-            "token_counts": model.token_counts,
-            "total_tokens": model.total_tokens,
-        }
-    elif not isinstance(model, NaiveAllEntityModel):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-
     lines = ["QAMODEL 1 " + " ".join(f"{k}={v}" for k, v in pairs)]
+    vocab = getattr(model, "vocab", None)
     if vocab is not None:
         lines.append(f"VOCAB {len(vocab)}")
         lines.extend(vocab)
+    labels = getattr(model, "label_space", None)
     if labels is not None:
         lines.append(f"LABELS {len(labels.labels)}")
         lines.extend(labels.labels)
-    for name, array in params.items():
+    for name, array in _stored_arrays(model).items():
         lines.extend(_param_lines(name, array))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _counts(path: str, line_no: int, fields: list[str]) -> list[int]:
-    """Non-negative integers of a section header, or ParseError."""
-    if not all(f.isascii() and f.isdigit() for f in fields):
-        raise ParseError(path, line_no, f"bad count in header {' '.join(fields)!r}")
-    return [int(f) for f in fields]
-
-
 def load_model(path: str):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines[0].startswith("QAMODEL 1 "):
-        raise ParseError(path, 1, "not a QAMODEL 1 file")
-    if lines.pop() != "":
-        raise ParseError(path, len(lines) + 1, "truncated file: no final newline")
-    pairs: dict[str, str] = {}
-    for item in lines[0].split(" ")[2:]:
-        key, _, value = item.partition("=")
-        pairs[key] = value
+    src = Artifact(path, "QAMODEL 1 ")
+    pairs = dict(item.partition("=")[::2] for item in src.lines[0].split(" ")[2:])
     try:
         desc = _parse_descriptor(pairs)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model header: {exc!r}") from None
 
-    pos = 1
-    vocab_tokens: list[str] = []
-    labels: list[str] = []
-    params: dict[str, np.ndarray] = {}
-    while pos < len(lines):
-        header = lines[pos].split(" ")
-        if header[0] in ("VOCAB", "LABELS") and len(header) == 2:
-            (count,) = _counts(path, pos + 1, header[1:])
-            if pos + 1 + count > len(lines):
-                raise ParseError(path, pos + 1, f"truncated {header[0]} section")
-            section = lines[pos + 1 : pos + 1 + count]
-            if header[0] == "VOCAB":
-                vocab_tokens = section
-            else:
-                labels = section
-            pos += 1 + count
-        elif header[0] == "PARAM" and len(header) >= 4:
-            name = header[1]
-            ndim, *shape = _counts(path, pos + 1, header[2:])
+    sections: dict[str, list[str]] = {"VOCAB": [], "LABELS": []}
+    blocks: dict[str, tuple[int, np.ndarray]] = {}  # name -> (header line, array)
+    while not src.done():
+        kind, *fields = src.header()
+        if kind in sections and len(fields) == 1:
+            sections[kind] = src.take(src.counts(fields)[0])
+        elif kind == "PARAM" and len(fields) >= 3:
+            name, line_no = fields[0], src.pos
+            ndim, *shape = src.counts(fields[1:])
             if ndim != len(shape):
-                raise ParseError(path, pos + 1, f"PARAM {name}: {ndim} dims, {len(shape)} sizes")
-            n_rows = 1 if ndim == 1 else int(np.prod(shape[:-1]))
-            if pos + 1 + n_rows > len(lines):
-                raise ParseError(path, pos + 1, f"truncated PARAM {name} block")
+                raise src.error(f"PARAM {name}: {ndim} dims, {len(shape)} sizes")
             rows = []
-            for line_no in range(pos + 2, pos + 2 + n_rows):
-                values = lines[line_no - 1].split(" ")
+            for row in src.take(math.prod(shape[:-1])):
+                values = row.split(" ")
                 if len(values) != shape[-1]:
-                    raise ParseError(
-                        path, line_no, f"expected {shape[-1]} values, got {len(values)}"
-                    )
+                    raise src.bad(row, f"expected {shape[-1]} values, got {len(values)}")
                 try:
                     rows.append([float(v) for v in values])
                 except ValueError:
-                    raise ParseError(path, line_no, "non-numeric parameter value") from None
-            params[name] = np.array(rows, dtype=np.float64).reshape(shape)
-            pos += 1 + n_rows
+                    raise src.bad(row, "non-numeric parameter value") from None
+            blocks[name] = line_no, np.array(rows, dtype=np.float64).reshape(shape)
         else:
-            raise ParseError(path, pos + 1, f"unexpected section {lines[pos]!r}")
+            raise src.error(f"unexpected section {src.lines[src.pos - 1]!r}")
     try:
-        return _model_of(path, desc, pairs, vocab_tokens, labels, params)
+        model = _empty_model(desc, pairs, sections["VOCAB"], sections["LABELS"], blocks)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model: {exc!r}") from None
+    for name, array in _stored_arrays(model).items():
+        if name not in blocks:
+            raise ParseError(path, 1, f"missing parameter block {name!r}")
+        line_no, block = blocks.pop(name)
+        if block.shape != array.shape:
+            raise ParseError(
+                path, line_no, f"PARAM {name} has shape {block.shape}, expected {array.shape}"
+            )
+        array[...] = block
+    for name, (line_no, _) in blocks.items():
+        raise ParseError(path, line_no, f"unexpected parameter block {name!r}")
+    return model
 
 
-def _model_of(path, desc, pairs, vocab_tokens, labels, params):
+def _empty_model(desc, pairs, vocab_tokens, labels, blocks):
+    """A model of the descriptor whose arrays are zeros sized from the
+    file's VOCAB and LABELS; a neural embedding has a pad and an OOV row
+    before the vocabulary's, and the width of the file's embedding.E."""
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
-
     if desc.kind == "NAIVE_ALL_ENTITY":
         return NaiveAllEntityModel(desc)
     if desc.kind == "MAJORITY":
-        model = MajorityModel(desc, label_space)
-        model.counts = params["counts"]
-        return model
+        return MajorityModel(desc, label_space)
     if desc.kind == "NB_MULTINOMIAL":
-        model = MultinomialNBModel(desc, label_space, float(pairs["alpha"]))
-        model.vocab = {tok: i for i, tok in enumerate(vocab_tokens)}
-        model.class_counts = params["class_counts"]
-        model.token_counts = params["token_counts"]
-        model.total_tokens = params["total_tokens"]
-        return model
-
+        return MultinomialNBModel(desc, label_space, float(pairs["alpha"]), vocab_tokens)
     vocab = {tok: i + 2 for i, tok in enumerate(vocab_tokens)}
+    dim = blocks["embedding.E"][1].shape[-1] if "embedding.E" in blocks else 0
     model = NeuralSequenceModel(
         descriptor=desc,
         vocab=vocab,
-        embedding_matrix=params["embedding.E"],
+        embedding_matrix=np.zeros((len(vocab) + 2, dim)),
         label_space=label_space,
         max_len=int(pairs["max_len"]),
         seed=int(pairs["seed"]),
         freeze_embeddings=pairs["frozen"] == "1",
     )
     model.l1_activity = float(pairs["l1"])
-    for name, arr in model.all_params().items():
-        if name not in params:
-            raise ParseError(path, 1, f"missing parameter block {name!r}")
-        if params[name].shape != arr.shape:
-            raise ParseError(
-                path, 1, f"parameter {name!r} has shape {params[name].shape}, expected {arr.shape}"
-            )
-        arr[...] = params[name]
     return model

@@ -56,7 +56,7 @@ __all__ = [
 
 NEURAL_KINDS = ("BILSTM2", "NT_BILSTM1", "BIGRU2", "CONV_GRU")
 BASELINE_KINDS = ("NB_MULTINOMIAL", "MAJORITY", "NAIVE_ALL_ENTITY")
-PAD_ID = 0
+TASKS = ("ENTITY", "RELATION")
 UNK_ID = 1
 
 # (hidden sizes, dropout rates) per neural kind; BIGRU2/BILSTM2 first-layer
@@ -81,7 +81,7 @@ class ArchitectureDescriptor:
     noun_filter: bool = False
 
     def __post_init__(self):
-        if self.task not in ("ENTITY", "RELATION"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.kind not in NEURAL_KINDS + BASELINE_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
@@ -98,11 +98,10 @@ def default_descriptor(
     noun_filter: bool | None = None,
     hidden_sizes: tuple[int, ...] | None = None,
     dropout_rates: tuple[float, ...] | None = None,
-    conv_filters: int = 50,
-    conv_width: int = 2,
 ) -> ArchitectureDescriptor:
     """Descriptor with per-kind defaults; desk_scale divides hidden sizes
-    (preserving their ratios) so full architectures shrink to test scale."""
+    (preserving their ratios) so full architectures shrink to test scale.
+    CONV_GRU gets 50 filters of width 2."""
     if kind in BASELINE_KINDS:
         return ArchitectureDescriptor(task, kind, noun_filter=bool(noun_filter))
     if kind not in _NEURAL_DEFAULTS:
@@ -116,12 +115,8 @@ def default_descriptor(
         dropout = tuple(dropout_rates)
     if noun_filter is None:
         noun_filter = kind == "NT_BILSTM1"
-    if kind != "CONV_GRU":
-        conv_filters = 0
-        conv_width = 0
-    return ArchitectureDescriptor(
-        task, kind, hidden, dropout, conv_filters, conv_width, bool(noun_filter)
-    )
+    conv = (50, 2) if kind == "CONV_GRU" else (0, 0)
+    return ArchitectureDescriptor(task, kind, hidden, dropout, *conv, bool(noun_filter))
 
 
 @dataclass(frozen=True)
@@ -393,6 +388,8 @@ class MajorityModel:
     """Predicts the most frequent training relation, with its frequency."""
 
     def __init__(self, descriptor: ArchitectureDescriptor, label_space: RelationLabelSpace):
+        if label_space is None:
+            raise ValueError("the majority model needs a label space")
         self.descriptor = descriptor
         self.label_space = label_space
         self.counts = np.zeros(len(label_space))
@@ -412,22 +409,26 @@ class MajorityModel:
 
 
 class MultinomialNBModel:
-    """Bag-of-words multinomial Naive Bayes with add-alpha smoothing."""
+    """Bag-of-words multinomial Naive Bayes with add-alpha smoothing;
+    token_counts has one column per vocabulary token."""
 
     def __init__(
         self,
         descriptor: ArchitectureDescriptor,
         label_space: RelationLabelSpace,
         alpha: float = 1.0,
+        vocab_tokens=(),
     ):
+        if label_space is None:
+            raise ValueError("Naive Bayes needs a label space")
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.descriptor = descriptor
         self.label_space = label_space
         self.alpha = alpha
-        self.vocab: dict[str, int] = {}
+        self.vocab = {tok: i for i, tok in enumerate(vocab_tokens)}
         self.class_counts = np.zeros(len(label_space))
-        self.token_counts = np.zeros((len(label_space), 0))
+        self.token_counts = np.zeros((len(label_space), len(self.vocab)))
         self.total_tokens = np.zeros(len(label_space))
 
     def fit(self, questions) -> None:

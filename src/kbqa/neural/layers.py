@@ -111,10 +111,6 @@ class EmbeddingLayer(_ParamLayer):
         self.trainable = trainable
         self._ids = None
 
-    @property
-    def dim(self) -> int:
-        return self.params["E"].shape[1]
-
     def zero_grads(self):
         # skip the (possibly large) grad buffer when frozen
         if self.trainable:

@@ -11,6 +11,10 @@ import numpy as np
 __all__ = ["OPTIMIZER_KINDS", "Adam", "Optimizer", "SGD", "make_optimizer"]
 
 OPTIMIZER_KINDS = ("SGD", "ADAM_COUPLED", "ADAM_DECOUPLED")
+# Adam's moment decay rates and denominator guard (the published defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 class Optimizer:
@@ -36,14 +40,10 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8, weight_decay: float = 0.0, decoupled: bool = False):
+    def __init__(self, learning_rate: float, weight_decay: float = 0.0, decoupled: bool = False):
         super().__init__(learning_rate)
         if weight_decay < 0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.kind = "ADAM_DECOUPLED" if decoupled else "ADAM_COUPLED"
@@ -53,8 +53,8 @@ class Adam(Optimizer):
     def step(self, params, grads):
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - _BETA1**t
+        bias2 = 1.0 - _BETA2**t
         for name, p in params.items():
             g = grads[name]
             if self.weight_decay and not self.decoupled:
@@ -64,11 +64,11 @@ class Adam(Optimizer):
                 self._v[name] = np.zeros_like(p)
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            update = (m / bias1) / (np.sqrt(v / bias2) + _EPSILON)
             if self.weight_decay and self.decoupled:
                 update = update + self.weight_decay * p
             p -= self.learning_rate * update

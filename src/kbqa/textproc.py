@@ -8,6 +8,7 @@ lexicon-plus-heuristics tagger stands in for a statistical POS model.
 
 from dataclasses import dataclass
 
+from .artifact import text_lines
 from .errors import ParseError
 
 __all__ = [
@@ -113,7 +114,7 @@ def pos_tag(tokens: list[str], lexicon: dict[str, str] | None = None) -> list[st
     """Coarse POS tags via lexicon lookup plus ordered fallback heuristics.
 
     Fallback order: closed-class lists, "ly" -> ADV, "ing"/"ed" -> VERB,
-    digit -> NOUN, open-class default NOUN.
+    anything else (numbers too) -> NOUN.
     """
     lexicon = lexicon or {}
     tags = []
@@ -126,8 +127,6 @@ def pos_tag(tokens: list[str], lexicon: dict[str, str] | None = None) -> list[st
             tags.append("ADV")
         elif token.endswith("ing") or token.endswith("ed"):
             tags.append("VERB")
-        elif any(c.isdigit() for c in token):
-            tags.append("NOUN")
         else:
             tags.append("NOUN")
     return tags
@@ -169,16 +168,15 @@ def noun_chunk_filter(tokens: list[str], tags: list[str]) -> FilterResult:
 def load_pos_lexicon(path: str) -> dict[str, str]:
     """Read a token<TAB>TAG lexicon file; keys are lowercased."""
     lexicon: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
-            token, tag = parts
-            if tag not in COARSE_TAGS:
-                raise ParseError(path, line_no, f"unknown tag {tag!r}")
-            lexicon[token.lower()] = tag
+    for line_no, raw in text_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
+        token, tag = parts
+        if tag not in COARSE_TAGS:
+            raise ParseError(path, line_no, f"unknown tag {tag!r}")
+        lexicon[token.lower()] = tag
     return lexicon

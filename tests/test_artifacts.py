@@ -1,0 +1,137 @@
+"""Model and index files: byte-stable round trips, and any damage to a
+file either leaves a usable artifact or raises ParseError."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from kbqa.corpus import load_facts, load_questions, random_embedding_table
+from kbqa.errors import ParseError
+from kbqa.index import (
+    build_entity_index,
+    build_reach_index,
+    load_indexes,
+    query_entity_index,
+    query_reach,
+    save_indexes,
+)
+from kbqa.model_io import load_model, save_model
+from kbqa.models import (
+    BASELINE_KINDS,
+    NEURAL_KINDS,
+    RelationLabelSpace,
+    build_model,
+    default_descriptor,
+    predict_relation,
+    predict_tags,
+    train,
+)
+from kbqa.neural import TrainConfig, make_optimizer
+
+QUESTION = ["how", "old", "is", "tom", "hanks"]
+
+
+def toy_model(kind, questions, seed=5):
+    task = "ENTITY" if kind in ("NAIVE_ALL_ENTITY", "BILSTM2", "NT_BILSTM1") else "RELATION"
+    desc = default_descriptor(task, kind, desk_scale=100)
+    tokens = [t for q in questions for t in q.tokens]
+    labels = RelationLabelSpace.from_questions(questions) if task == "RELATION" else None
+    embeddings = random_embedding_table(tokens, 6, seed) if kind in NEURAL_KINDS else None
+    model = build_model(desc, embeddings, labels, vocab_tokens=tokens, seed=seed)
+    train(model, questions, TrainConfig(epochs=1, batch_size=2, seed=seed),
+          make_optimizer("ADAM_COUPLED", 0.01))
+    return model
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """name -> bytes of the toy index and of a toy model of every kind."""
+    from conftest import TOY_ALIASES, TOY_FACTS, TOY_QUESTIONS
+
+    root = tmp_path_factory.mktemp("artifacts")
+    for name, text in (("f", TOY_FACTS), ("a", TOY_ALIASES), ("q", TOY_QUESTIONS)):
+        (root / name).write_text(text)
+    kb = load_facts(str(root / "f"), str(root / "a"))
+    questions = load_questions(str(root / "q"), kb)
+    save_indexes(build_entity_index(kb), build_reach_index(kb), str(root / "toy.qaidx"))
+    for kind in NEURAL_KINDS + BASELINE_KINDS:
+        save_model(toy_model(kind, questions), str(root / f"{kind}.qam"))
+    return {path.name: path.read_bytes() for path in root.iterdir() if path.suffix}
+
+
+@pytest.mark.parametrize("kind", NEURAL_KINDS + BASELINE_KINDS)
+def test_model_file_roundtrip_is_byte_identical(artifacts, tmp_path, kind):
+    path = tmp_path / "again.qam"
+    (tmp_path / "m.qam").write_bytes(artifacts[f"{kind}.qam"])
+    save_model(load_model(str(tmp_path / "m.qam")), str(path))
+    assert path.read_bytes() == artifacts[f"{kind}.qam"]
+
+
+def use(path: str) -> None:
+    """Load an artifact and run it once."""
+    if path.endswith(".qaidx"):
+        entity_index, reach_index = load_indexes(path)
+        query_reach(reach_index, query_entity_index(entity_index, ["tom", "hanks"], 5), "bornOn")
+        return
+    model = load_model(path)
+    if model.descriptor.task == "ENTITY":
+        predict_tags(model, QUESTION)
+    else:
+        predict_relation(model, QUESTION)
+
+
+FUZZED = ("NT_BILSTM1.qam", "MAJORITY.qam", "NB_MULTINOMIAL.qam", "NAIVE_ALL_ENTITY.qam",
+          "toy.qaidx")
+
+
+@st.composite
+def damaged(draw, artifacts):
+    """(name, damaged bytes, whether the damage is a truncation)."""
+    name = draw(st.sampled_from(FUZZED))
+    data = artifacts[name]
+    how = draw(st.sampled_from(["truncate", "set", "insert", "delete", "line"]))
+    if how == "line":
+        starts = [0] + [i + 1 for i, b in enumerate(data) if b == ord("\n")][:-1]
+        at = draw(st.sampled_from(starts))
+        line = draw(st.sampled_from(["", "VOCAB 0", "LABELS 0", "LABELS 1", "PARAM counts 1 2",
+                                     "1.0 2.0", "x\ty", "x\ty\tz", "x\ty\tz\t1.0"])
+                    | st.text(max_size=12))
+        return name, data[:at] + line.encode("utf-8") + b"\n" + data[at:], False
+    at = draw(st.integers(0, len(data) - 1))
+    if how == "truncate":
+        return name, data[:at], True
+    byte = bytes([draw(st.integers(0, 255))])
+    if how == "set":
+        return name, data[:at] + byte + data[at + 1 :], False
+    if how == "insert":
+        return name, data[:at] + byte + data[at:], False
+    return name, data[:at] + data[at + 1 :], False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_artifact_loads_or_raises_parse_error(artifacts, tmp_path, data):
+    name, damaged_bytes, truncated = data.draw(damaged(artifacts))
+    path = tmp_path / name
+    path.write_bytes(damaged_bytes)
+    if truncated:
+        with pytest.raises(ParseError):
+            use(str(path))
+        return
+    try:
+        use(str(path))
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [(b"a\n\xff\n", 2), (b"a\r\nb\r\xff", 3), (b"\xc3\xa9\n\xc3", 2), (b"\x80", 1)],
+)
+def test_undecodable_names_the_line(tmp_path, data, line_no):
+    from kbqa.artifact import undecodable
+
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    error = undecodable(str(path))
+    assert (error.path, error.line_no) == (str(path), line_no)

@@ -21,7 +21,7 @@ def indexed(toy_files, tmp_path):
     return facts, aliases, questions, index
 
 
-def train_toy_models(toy, tmp_path, seed="13"):
+def train_toy_models(toy, tmp_path, seed="13", relation_kind="MAJORITY"):
     facts, aliases, questions, index = toy
     em = tmp_path / "entity.qam"
     rm = tmp_path / "relation.qam"
@@ -37,7 +37,7 @@ def train_toy_models(toy, tmp_path, seed="13"):
         "train",
         "--facts", str(facts), "--aliases", str(aliases),
         "--questions", str(questions),
-        "--task", "RELATION", "--kind", "MAJORITY",
+        "--task", "RELATION", "--kind", relation_kind,
         "--ratios", "1.0,0.0,0.0", "--seed", seed,
         "--out", str(rm),
     ) == 0
@@ -106,11 +106,37 @@ class TestParse:
         cfg.write_text("seed=banana\n")
         assert run_cli("gradcheck", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["split=bogus", "task=entity", "optimizer=ADAM", "noun_filter=ture"]
+    )
+    def test_config_value_outside_choices_is_usage_error(self, indexed, tmp_path, capsys, line):
+        facts, aliases, questions, index = indexed
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# checked like the flags\n{line}\n")
+        code = run_cli(
+            "eval", "--config", str(cfg),
+            "--facts", str(facts), "--aliases", str(aliases),
+            "--questions", str(questions), "--index", str(index),
+            "--entity-model", str(tmp_path / "missing.qam"),
+        )
+        assert code == 2
+        assert f"{cfg}:2: bad value" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=3\nk=\xff\n")
+        assert run_cli("gradcheck", "--config", str(cfg)) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+
     def test_read_config_parses_types(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=3\nlearning_rate=0.5  # inline comment\nnoun_filter=true\n")
+        cfg.write_text(
+            "seed=3\nlearning_rate=0.5  # inline comment\nnoun_filter=true\nskip_unmatched=no\n"
+        )
         values = read_config(str(cfg))
-        assert values == {"seed": 3, "learning_rate": 0.5, "noun_filter": True}
+        assert values == {
+            "seed": 3, "learning_rate": 0.5, "noun_filter": True, "skip_unmatched": False
+        }
 
     def test_bad_kind_exits_2(self, toy_files, tmp_path):
         facts, aliases, questions = toy_files
@@ -234,6 +260,33 @@ def replace_line(path, line_no, edit):
     path.write_text("\n".join(lines))
 
 
+def insert_bytes(path, line_no, data):
+    """Put data at the start of line line_no."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = data + lines[line_no - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+def add_vocab_line(path):
+    """One more VOCAB token than the model's arrays were made for."""
+    line_no = first_line(path, "VOCAB ")
+    replace_line(path, line_no, lambda line: f"VOCAB {int(line.split(' ')[1]) + 1}\nzzz")
+
+
+def train_nt_bilstm1(toy, tmp_path):
+    facts, aliases, questions, _ = toy
+    path = tmp_path / "nt_bilstm1.qam"
+    assert run_cli(
+        "train",
+        "--facts", str(facts), "--aliases", str(aliases),
+        "--questions", str(questions),
+        "--task", "ENTITY", "--kind", "NT_BILSTM1", "--hidden", "3",
+        "--embedding-dim", "4", "--epochs", "1",
+        "--ratios", "1.0,0.0,0.0", "--out", str(path),
+    ) == 0
+    return path
+
+
 def keep_header_only(path):
     path.write_text("QAIDX 1\n")
     return 2
@@ -289,6 +342,83 @@ class TestArtifactErrors:
         capsys.readouterr()
         assert self.ask(indexed[3], em, rm) == 1
         assert f"{rm}:{n_lines}: " in capsys.readouterr().err
+
+    def rejects(self, capsys, index, em, rm, path, line_no):
+        """ask exits 1 and names path:line_no, and nothing else goes wrong."""
+        capsys.readouterr()
+        assert self.ask(index, em, rm) == 1
+        assert f"{path}:{line_no}: " in capsys.readouterr().err
+
+    def test_non_utf8_index(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        index = indexed[3]
+        line_no = first_line(index, "DF ") + 1
+        insert_bytes(index, line_no, b"\xff")
+        self.rejects(capsys, index, em, rm, index, line_no)
+
+    def test_non_utf8_model(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        insert_bytes(rm, 3, b"\xfe")
+        self.rejects(capsys, indexed[3], em, rm, rm, 3)
+
+    def test_vocab_longer_than_embedding(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        em = train_nt_bilstm1(indexed, tmp_path)
+        add_vocab_line(em)
+        self.rejects(capsys, indexed[3], em, rm, em, first_line(em, "PARAM embedding.E "))
+
+    @pytest.mark.parametrize("counts", ["1.0 1.0 3.0", "3.0"])
+    def test_majority_counts_do_not_match_labels(self, indexed, tmp_path, capsys, counts):
+        em, rm = train_toy_models(indexed, tmp_path)
+        line_no = first_line(rm, "PARAM counts ")
+        replace_line(rm, line_no, lambda line: f"PARAM counts 1 {len(counts.split())}")
+        replace_line(rm, line_no + 1, lambda line: counts)
+        self.rejects(capsys, indexed[3], em, rm, rm, line_no)
+
+    def test_nb_vocab_longer_than_token_counts(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path, relation_kind="NB_MULTINOMIAL")
+        add_vocab_line(rm)
+        self.rejects(capsys, indexed[3], em, rm, rm, first_line(rm, "PARAM token_counts "))
+
+    def test_majority_without_labels(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        lines = rm.read_text().split("\n")
+        start = first_line(rm, "LABELS ") - 1
+        del lines[start : start + 1 + int(lines[start].split(" ")[1])]
+        rm.write_text("\n".join(lines))
+        self.rejects(capsys, indexed[3], em, rm, rm, 1)
+
+    def test_unexpected_parameter_block(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        rm.write_text(rm.read_text() + "PARAM extra 1 1\n0.0\n")
+        line_no = first_line(rm, "PARAM extra ")
+        self.rejects(capsys, indexed[3], em, rm, rm, line_no)
+
+
+class TestDataFileErrors:
+    """A data file that is not UTF-8 exits 1 and names the bad line."""
+
+    @pytest.mark.parametrize("which", ["facts", "aliases", "questions", "embeddings", "lexicon"])
+    def test_train_inputs(self, toy_files, tmp_path, capsys, which):
+        facts, aliases, questions = toy_files
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text("tom 0.1 0.2\nhanks 0.3 0.4\nhow 0.5 0.6\n")
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("tom\tPROPN\nhanks\tPROPN\nold\tADJ\n")
+        bad = {"facts": facts, "aliases": aliases, "questions": questions,
+               "embeddings": embeddings, "lexicon": lexicon}[which]
+        insert_bytes(bad, 2, "\u00e9".encode("utf-8") + b"\xe9")
+        code = run_cli(
+            "train",
+            "--facts", str(facts), "--aliases", str(aliases),
+            "--questions", str(questions),
+            "--embeddings", str(embeddings), "--embedding-dim", "2",
+            "--lexicon", str(lexicon),
+            "--task", "ENTITY", "--kind", "NT_BILSTM1", "--hidden", "2", "--epochs", "1",
+            "--ratios", "1.0,0.0,0.0", "--out", str(tmp_path / "m.qam"),
+        )
+        assert code == 1
+        assert f"{bad}:2: " in capsys.readouterr().err
 
 
 class TestDeterminism:

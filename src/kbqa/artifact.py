@@ -1,27 +1,48 @@
-"""Framing shared by the text artifact formats, `QAMODEL 1` and `QAIDX 1`.
+"""Framing shared by the artifact formats, `QAMODEL 2` and `QAIDX 1`.
 
-An artifact is UTF-8 text with "\\n" line ends.  Its first line starts
-with the format's magic and its last line ends with a newline.  The body
-is a run of sections, each a header line `NAME field ...` followed by
-the rows it counts.  Every defect raises ParseError(path, line).
+An artifact starts with UTF-8 text with "\\n" line ends.  Its first line
+starts with the format's magic and its text ends with a newline.  The
+body is a run of sections, each a header line `NAME field ...` followed
+by the rows it counts.
+
+A format with a payload (`QAMODEL 2`) has `payload=N` right after the
+magic, and its last N bytes are raw little-endian float64: the arrays
+its headers declare by `ndim size ...`, in header order.  Such a file is
+read as bytes, once; only the text before the payload is decoded, and
+the payload must be exactly as long as the declared arrays.  `QAIDX 1`
+has no payload and is read in text mode, so `\\r\\n` and `\\r` line ends
+load too.  Every defect raises ParseError(path, line).
 """
+
+import math
+
+import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Artifact", "text_lines", "undecodable"]
+__all__ = ["Artifact", "text_lines", "undecodable", "write_artifact"]
+
+
+def _decode(path: str, data: bytes) -> str:
+    """data as UTF-8 text; a bad byte raises ParseError at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8: {exc.reason}") from None
 
 
 def undecodable(path: str) -> ParseError:
-    """The ParseError for a file that failed to decode as UTF-8, at the
-    line of its first bad byte.  Only this error path reads the bytes."""
+    """The ParseError for a file that failed to decode as UTF-8 in text
+    mode, at the line of its first bad byte.  Only this error path reads
+    the bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
         # text mode ends lines at \r\n, \r and \n
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return ParseError(path, head.count(b"\n") + 1, f"not UTF-8: {exc.reason}")
+        _decode(path, data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+    except ParseError as exc:
+        return exc
     return ParseError(path, 1, "not UTF-8")
 
 
@@ -35,23 +56,64 @@ def text_lines(path: str):
             raise undecodable(path) from None
 
 
-class Artifact:
-    """An artifact's lines, read section by section from line 2 on."""
+def _check_magic(path: str, text: str, magic: str) -> None:
+    """ParseError at line 1 unless text starts with magic; another
+    version of the same format is named as such."""
+    if text.startswith(magic):
+        return
+    name, version = magic.split()[:2]
+    found = text.partition("\n")[0].split(" ")
+    if found[0] == name and len(found) > 1 and found[1] != version:
+        raise ParseError(path, 1, f"{name} {found[1]} files are not read by this version, "
+                         f"which reads {name} {version}: retrain the model or rebuild the index")
+    raise ParseError(path, 1, f"not a {name} {version} file")
 
-    def __init__(self, path: str, magic: str):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError:
-            raise undecodable(path) from None
-        if not text.startswith(magic):
-            raise ParseError(path, 1, f"not a {magic.strip()} file")
+
+def _split_payload(path: str, magic: str) -> tuple[str, memoryview]:
+    """The decoded text of a payload artifact, and a view of its payload."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    first = _decode(path, data[:end] if end >= 0 else data)
+    _check_magic(path, first, magic)
+    if end < 0:
+        raise ParseError(path, 1, "truncated file: no newline")
+    field = first[len(magic) :].partition(" ")[0]
+    key, _, size = field.partition("=")
+    if key != "payload" or not (size.isascii() and size.isdigit()):
+        raise ParseError(path, 1, f"expected payload=N after {magic.strip()!r}, got {field!r}")
+    n, rest = int(size), len(data) - end - 1
+    if n > rest:
+        raise ParseError(path, 1, f"payload={n}, but only {rest} bytes follow line 1")
+    return _decode(path, data[: len(data) - n]), memoryview(data)[len(data) - n :]
+
+
+class Artifact:
+    """An artifact's text lines, read section by section from line 2 on,
+    and, for a format with one, its payload."""
+
+    def __init__(self, path: str, magic: str, payload: bool = False):
         self.path = path
+        if payload:
+            text, self.payload = _split_payload(path, magic)
+        else:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError:
+                raise undecodable(path) from None
+            _check_magic(path, text, magic)
+            self.payload = memoryview(b"")
         self.lines = text.split("\n")
         if self.lines.pop() != "":
-            raise ParseError(path, len(self.lines) + 1, "truncated file: no final newline")
+            message = "truncated file: no final newline"
+            if payload:
+                message = (f"no newline where the last {len(self.payload)} bytes begin: "
+                           "truncated or extended file")
+            raise ParseError(path, len(self.lines) + 1, message)
         self.pos = 1  # index of the next unread line
         self.start = 1  # index of the last section's first row
+        self.shapes: list[tuple[int, ...]] = []  # of the payload's arrays
 
     def done(self) -> bool:
         return self.pos == len(self.lines)
@@ -92,3 +154,38 @@ class Artifact:
         """A ParseError at row, a row of the last section that failed to
         parse.  Rows parse in order, so its first copy is the one."""
         return ParseError(self.path, self.lines.index(row, self.start) + 1, message)
+
+    def shape(self, fields: list[str]) -> tuple[int, ...]:
+        """The shape that the last header's `ndim size ...` fields give
+        the next array of the payload."""
+        ndim, *sizes = self.counts(fields)
+        if ndim != len(sizes):
+            raise self.error(f"{ndim} dims, {len(sizes)} sizes")
+        self.shapes.append(tuple(sizes))
+        return self.shapes[-1]
+
+    def arrays(self) -> list[np.ndarray]:
+        """The declared arrays as read-only views of the payload, in
+        header order.  The payload must hold exactly them."""
+        sizes = [math.prod(s) for s in self.shapes]
+        if 8 * sum(sizes) != len(self.payload):
+            raise ParseError(self.path, 1, f"payload={len(self.payload)}, but the headers "
+                             f"declare {8 * sum(sizes)} bytes")
+        flat = np.frombuffer(self.payload, "<f8")
+        out, at = [], 0
+        for shape, size in zip(self.shapes, sizes):
+            out.append(flat[at : at + size].reshape(shape))
+            at += size
+        return out
+
+
+def write_artifact(path: str, magic: str, lines: list[str], arrays: list[np.ndarray]) -> None:
+    """Write a payload artifact: the line `{magic}payload=N {lines[0]}`,
+    the other lines, then the arrays as N bytes of little-endian float64,
+    in order, so the bytes are the same on any host."""
+    size = 8 * sum(a.size for a in arrays)
+    text = "\n".join([f"{magic}payload={size} {lines[0]}", *lines[1:]]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())

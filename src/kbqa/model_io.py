@@ -1,17 +1,20 @@
-"""Versioned plain-text model files.
+"""Versioned model files, `QAMODEL 2`: a UTF-8 text header, then a raw
+float64 payload, framed by `artifact`.
 
-Layout: a `QAMODEL 1` header line carrying the architecture descriptor
-as key=value pairs, then VOCAB / LABELS sections where applicable, then
-one PARAM block per named parameter with its shape and row-wise values.
-Floats are written with repr so files round-trip bit-exactly and
-identical runs produce identical bytes.
+The first line is `QAMODEL 2 payload=N` and the architecture descriptor
+as key=value pairs.  VOCAB and LABELS sections follow where the kind has
+them, then one `PARAM name ndim size ...` line per stored array, in
+`_stored_arrays` order.  The payload holds those arrays' values as N
+bytes of little-endian float64, in the same order, so files round-trip
+bit-exactly and identical runs write identical bytes.  The all-text
+`QAMODEL 1` files are not read: such a model must be trained again.
 """
 
 import math
 
 import numpy as np
 
-from .artifact import Artifact
+from .artifact import Artifact, write_artifact
 from .errors import ParseError
 from .models import (
     ArchitectureDescriptor,
@@ -62,13 +65,6 @@ def _parse_descriptor(pairs: dict[str, str]) -> ArchitectureDescriptor:
     )
 
 
-def _param_lines(name: str, array: np.ndarray) -> list[str]:
-    lines = [f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}"]
-    for row in array.reshape(-1, array.shape[-1]):
-        lines.append(" ".join(_fmt(v) for v in row))
-    return lines
-
-
 def _stored_arrays(model) -> dict[str, np.ndarray]:
     """The arrays a model file stores, by name, in file order."""
     if isinstance(model, NeuralSequenceModel):
@@ -87,7 +83,7 @@ def save_model(model, path: str) -> None:
         ]
     elif isinstance(model, MultinomialNBModel):
         pairs.append(("alpha", _fmt(model.alpha)))
-    lines = ["QAMODEL 1 " + " ".join(f"{k}={v}" for k, v in pairs)]
+    lines = [" ".join(f"{k}={v}" for k, v in pairs)]
     vocab = getattr(model, "vocab", None)
     if vocab is not None:
         lines.append(f"VOCAB {len(vocab)}")
@@ -96,14 +92,14 @@ def save_model(model, path: str) -> None:
     if labels is not None:
         lines.append(f"LABELS {len(labels.labels)}")
         lines.extend(labels.labels)
-    for name, array in _stored_arrays(model).items():
-        lines.extend(_param_lines(name, array))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    arrays = _stored_arrays(model)
+    for name, array in arrays.items():
+        lines.append(f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}")
+    write_artifact(path, "QAMODEL 2 ", lines, list(arrays.values()))
 
 
 def load_model(path: str):
-    src = Artifact(path, "QAMODEL 1 ")
+    src = Artifact(path, "QAMODEL 2 ", payload=True)
     pairs = dict(item.partition("=")[::2] for item in src.lines[0].split(" ")[2:])
     try:
         desc = _parse_descriptor(pairs)
@@ -111,28 +107,16 @@ def load_model(path: str):
         raise ParseError(path, 1, f"bad model header: {exc!r}") from None
 
     sections: dict[str, list[str]] = {"VOCAB": [], "LABELS": []}
-    blocks: dict[str, tuple[int, np.ndarray]] = {}  # name -> (header line, array)
+    blocks: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (header line, shape)
     while not src.done():
         kind, *fields = src.header()
         if kind in sections and len(fields) == 1:
             sections[kind] = src.take(src.counts(fields)[0])
-        elif kind == "PARAM" and len(fields) >= 3:
-            name, line_no = fields[0], src.pos
-            ndim, *shape = src.counts(fields[1:])
-            if ndim != len(shape):
-                raise src.error(f"PARAM {name}: {ndim} dims, {len(shape)} sizes")
-            rows = []
-            for row in src.take(math.prod(shape[:-1])):
-                values = row.split(" ")
-                if len(values) != shape[-1]:
-                    raise src.bad(row, f"expected {shape[-1]} values, got {len(values)}")
-                try:
-                    rows.append([float(v) for v in values])
-                except ValueError:
-                    raise src.bad(row, "non-numeric parameter value") from None
-            blocks[name] = line_no, np.array(rows, dtype=np.float64).reshape(shape)
+        elif kind == "PARAM" and len(fields) >= 3 and fields[0] not in blocks:
+            blocks[fields[0]] = src.pos, src.shape(fields[1:])
         else:
             raise src.error(f"unexpected section {src.lines[src.pos - 1]!r}")
+    values = dict(zip(blocks, src.arrays()))
     try:
         model = _empty_model(desc, pairs, sections["VOCAB"], sections["LABELS"], blocks)
     except (KeyError, ValueError) as exc:
@@ -140,12 +124,12 @@ def load_model(path: str):
     for name, array in _stored_arrays(model).items():
         if name not in blocks:
             raise ParseError(path, 1, f"missing parameter block {name!r}")
-        line_no, block = blocks.pop(name)
-        if block.shape != array.shape:
+        line_no, shape = blocks.pop(name)
+        if shape != array.shape:
             raise ParseError(
-                path, line_no, f"PARAM {name} has shape {block.shape}, expected {array.shape}"
+                path, line_no, f"PARAM {name} has shape {shape}, expected {array.shape}"
             )
-        array[...] = block
+        array[...] = values[name]
     for name, (line_no, _) in blocks.items():
         raise ParseError(path, line_no, f"unexpected parameter block {name!r}")
     return model
@@ -154,7 +138,8 @@ def load_model(path: str):
 def _empty_model(desc, pairs, vocab_tokens, labels, blocks):
     """A model of the descriptor whose arrays are zeros sized from the
     file's VOCAB and LABELS; a neural embedding has a pad and an OOV row
-    before the vocabulary's, and the width of the file's embedding.E."""
+    before the vocabulary's, and the width of the file's embedding.E, or
+    0 if that holds no values, so the payload's length bounds the width."""
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
     if desc.kind == "NAIVE_ALL_ENTITY":
         return NaiveAllEntityModel(desc)
@@ -163,7 +148,8 @@ def _empty_model(desc, pairs, vocab_tokens, labels, blocks):
     if desc.kind == "NB_MULTINOMIAL":
         return MultinomialNBModel(desc, label_space, float(pairs["alpha"]), vocab_tokens)
     vocab = {tok: i + 2 for i, tok in enumerate(vocab_tokens)}
-    dim = blocks["embedding.E"][1].shape[-1] if "embedding.E" in blocks else 0
+    shape = blocks.get("embedding.E", (0, (0,)))[1]
+    dim = shape[-1] if math.prod(shape) else 0
     model = NeuralSequenceModel(
         descriptor=desc,
         vocab=vocab,

@@ -38,3 +38,42 @@ def toy_kb(toy_files):
 
     facts, aliases, _ = toy_files
     return load_facts(str(facts), str(aliases))
+
+
+def split_artifact(path) -> tuple[str, bytes]:
+    """An artifact file's text and its payload, the last N bytes when its
+    first line declares payload=N (and b"" for a text-only file)."""
+    data = path.read_bytes()
+    fields = data.split(b"\n", 1)[0].split(b" ")
+    n = next((int(f[8:]) for f in fields if f.startswith(b"payload=")), 0)
+    return data[: len(data) - n].decode("utf-8"), data[len(data) - n :]
+
+
+def edit_text(path, edit) -> None:
+    """Replace an artifact's text by edit(text), keeping its payload."""
+    text, payload = split_artifact(path)
+    path.write_bytes(edit(text).encode("utf-8") + payload)
+
+
+def first_line(path, prefix) -> int:
+    """1-based number of the first line of path's text that starts with prefix."""
+    lines = split_artifact(path)[0].split("\n")
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
+
+
+def replace_line(path, line_no, edit):
+    """Replace a line of path's text by edit(line), keeping any payload."""
+    def change(text):
+        lines = text.split("\n")
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        return "\n".join(lines)
+
+    edit_text(path, change)
+
+
+def replace_payload(path, payload: bytes) -> None:
+    """Give an artifact a new payload, and declare its length in line 1."""
+    head, rest = split_artifact(path)[0].split("\n", 1)
+    fields = [f if not f.startswith("payload=") else f"payload={len(payload)}"
+              for f in head.split(" ")]
+    path.write_bytes(f"{' '.join(fields)}\n{rest}".encode("utf-8") + payload)

@@ -1,6 +1,10 @@
-"""Model and index files: byte-stable round trips, and any damage to a
-file either leaves a usable artifact or raises ParseError."""
+"""Model and index files: byte-stable round trips, a committed model file
+that pins the QAMODEL 2 layout, and any damage to a file either leaves a
+usable artifact or raises ParseError."""
 
+import os
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -43,8 +47,9 @@ def toy_model(kind, questions, seed=5):
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """name -> bytes of the toy index and of a toy model of every kind."""
+def models_and_artifacts(tmp_path_factory):
+    """(kind -> toy model of every kind, name -> bytes of the toy index and
+    of each model's file)."""
     from conftest import TOY_ALIASES, TOY_FACTS, TOY_QUESTIONS
 
     root = tmp_path_factory.mktemp("artifacts")
@@ -53,9 +58,15 @@ def artifacts(tmp_path_factory):
     kb = load_facts(str(root / "f"), str(root / "a"))
     questions = load_questions(str(root / "q"), kb)
     save_indexes(build_entity_index(kb), build_reach_index(kb), str(root / "toy.qaidx"))
-    for kind in NEURAL_KINDS + BASELINE_KINDS:
-        save_model(toy_model(kind, questions), str(root / f"{kind}.qam"))
-    return {path.name: path.read_bytes() for path in root.iterdir() if path.suffix}
+    models = {kind: toy_model(kind, questions) for kind in NEURAL_KINDS + BASELINE_KINDS}
+    for kind, model in models.items():
+        save_model(model, str(root / f"{kind}.qam"))
+    return models, {path.name: path.read_bytes() for path in root.iterdir() if path.suffix}
+
+
+@pytest.fixture(scope="module")
+def artifacts(models_and_artifacts):
+    return models_and_artifacts[1]
 
 
 @pytest.mark.parametrize("kind", NEURAL_KINDS + BASELINE_KINDS)
@@ -64,6 +75,42 @@ def test_model_file_roundtrip_is_byte_identical(artifacts, tmp_path, kind):
     (tmp_path / "m.qam").write_bytes(artifacts[f"{kind}.qam"])
     save_model(load_model(str(tmp_path / "m.qam")), str(path))
     assert path.read_bytes() == artifacts[f"{kind}.qam"]
+
+
+@pytest.mark.parametrize("kind", NEURAL_KINDS)
+def test_reloaded_model_predicts_identically(models_and_artifacts, tmp_path, kind):
+    models, artifacts = models_and_artifacts
+    path = tmp_path / "m.qam"
+    path.write_bytes(artifacts[f"{kind}.qam"])
+    seqs = [QUESTION, ["tom", "zzz"]]
+    assert np.array_equal(load_model(str(path)).predict_probs(seqs),
+                          models[kind].predict_probs(seqs))
+
+
+# An NT_BILSTM1 with hidden size 3 over a 4-wide random embedding of
+# QUESTION's tokens (random_embedding_table(QUESTION, 4, seed=3), built
+# with seed=3), written by save_model when QAMODEL 2 was introduced.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "nt_bilstm1.qam")
+GOLDEN_PROBS = [  # P(tag 0), P(tag 1) for QUESTION + ["zzz"]
+    [0.4895075002172118, 0.5104924997827882],
+    [0.48939951925437236, 0.5106004807456277],
+    [0.4893126876112097, 0.5106873123887903],
+    [0.4892974848668051, 0.5107025151331949],
+    [0.48928976936946966, 0.5107102306305303],
+    [0.48929640450357337, 0.5107035954964267],
+]
+
+
+def test_golden_model_predicts_known_probabilities():
+    probs = load_model(GOLDEN).predict_probs([QUESTION + ["zzz"]])
+    np.testing.assert_allclose(probs, [GOLDEN_PROBS], rtol=0, atol=1e-12)
+
+
+def test_golden_model_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "again.qam"
+    save_model(load_model(GOLDEN), str(path))
+    with open(GOLDEN, "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def use(path: str) -> None:
@@ -79,8 +126,8 @@ def use(path: str) -> None:
         predict_relation(model, QUESTION)
 
 
-FUZZED = ("NT_BILSTM1.qam", "MAJORITY.qam", "NB_MULTINOMIAL.qam", "NAIVE_ALL_ENTITY.qam",
-          "toy.qaidx")
+FUZZED = ("NT_BILSTM1.qam", "CONV_GRU.qam", "MAJORITY.qam", "NB_MULTINOMIAL.qam",
+          "NAIVE_ALL_ENTITY.qam", "toy.qaidx")
 
 
 @st.composite

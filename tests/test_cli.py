@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from kbqa.cli import main, parse_args, read_config
+
+from conftest import edit_text, first_line, replace_line, replace_payload, split_artifact
 
 
 def run_cli(*argv):
@@ -248,18 +251,6 @@ class TestEndToEnd:
 
 
 
-def first_line(path, prefix) -> int:
-    """1-based number of the first line of path that starts with prefix."""
-    lines = path.read_text().split("\n")
-    return next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
-
-
-def replace_line(path, line_no, edit):
-    lines = path.read_text().split("\n")
-    lines[line_no - 1] = edit(lines[line_no - 1])
-    path.write_text("\n".join(lines))
-
-
 def insert_bytes(path, line_no, data):
     """Put data at the start of line line_no."""
     lines = path.read_bytes().split(b"\n")
@@ -337,7 +328,7 @@ class TestArtifactErrors:
 
     def test_truncated_model(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
-        n_lines = rm.read_text().count("\n")
+        n_lines = split_artifact(rm)[0].count("\n")
         rm.write_bytes(rm.read_bytes()[:-5])
         capsys.readouterr()
         assert self.ask(indexed[3], em, rm) == 1
@@ -370,9 +361,10 @@ class TestArtifactErrors:
     @pytest.mark.parametrize("counts", ["1.0 1.0 3.0", "3.0"])
     def test_majority_counts_do_not_match_labels(self, indexed, tmp_path, capsys, counts):
         em, rm = train_toy_models(indexed, tmp_path)
+        values = np.array(counts.split(), dtype="<f8")
         line_no = first_line(rm, "PARAM counts ")
-        replace_line(rm, line_no, lambda line: f"PARAM counts 1 {len(counts.split())}")
-        replace_line(rm, line_no + 1, lambda line: counts)
+        replace_line(rm, line_no, lambda line: f"PARAM counts 1 {len(values)}")
+        replace_payload(rm, values.tobytes())
         self.rejects(capsys, indexed[3], em, rm, rm, line_no)
 
     def test_nb_vocab_longer_than_token_counts(self, indexed, tmp_path, capsys):
@@ -382,15 +374,21 @@ class TestArtifactErrors:
 
     def test_majority_without_labels(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
-        lines = rm.read_text().split("\n")
         start = first_line(rm, "LABELS ") - 1
-        del lines[start : start + 1 + int(lines[start].split(" ")[1])]
-        rm.write_text("\n".join(lines))
+
+        def drop_labels(text):
+            lines = text.split("\n")
+            del lines[start : start + 1 + int(lines[start].split(" ")[1])]
+            return "\n".join(lines)
+
+        edit_text(rm, drop_labels)
         self.rejects(capsys, indexed[3], em, rm, rm, 1)
 
     def test_unexpected_parameter_block(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
-        rm.write_text(rm.read_text() + "PARAM extra 1 1\n0.0\n")
+        payload = split_artifact(rm)[1]
+        edit_text(rm, lambda text: text + "PARAM extra 1 1\n")
+        replace_payload(rm, payload + bytes(8))
         line_no = first_line(rm, "PARAM extra ")
         self.rejects(capsys, indexed[3], em, rm, rm, line_no)
 

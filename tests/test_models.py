@@ -18,6 +18,7 @@ from kbqa.models import (
 from kbqa.neural import TrainConfig, make_optimizer
 from kbqa.textproc import noun_chunk_filter, pos_tag
 
+from conftest import edit_text, first_line, replace_line, replace_payload, split_artifact
 from corpora import entity_template_corpus
 
 
@@ -321,6 +322,9 @@ class TestSerialization:
         assert predict_tags(loaded, ["a", "b"]).mapped_tags == (1, 1)
 
 
+NL = "\n"
+
+
 class TestModelFileErrors:
     @pytest.fixture
     def saved(self, embeddings, tmp_path):
@@ -330,41 +334,86 @@ class TestModelFileErrors:
         save_model(model, str(path))
         return path
 
-    @staticmethod
-    def edit_line(path, line_no, edit):
-        lines = path.read_text().split("\n")
-        lines[line_no - 1] = edit(lines[line_no - 1])
-        path.write_text("\n".join(lines))
-
-    @staticmethod
-    def row_line(path) -> int:
-        """Line number of the first PARAM block's first row."""
-        lines = path.read_text().split("\n")
-        return next(i for i, line in enumerate(lines) if line.startswith("PARAM ")) + 2
-
     def test_truncated_file_rejected(self, saved):
-        n_lines = saved.read_text().count("\n")
+        n_lines = split_artifact(saved)[0].count("\n")
         saved.write_bytes(saved.read_bytes()[:-5])
         with pytest.raises(ParseError, match=f"{saved}:{n_lines}:"):
             load_model(str(saved))
 
     def test_missing_rows_rejected(self, saved):
-        lines = saved.read_text().split("\n")[:-1]
-        header = max(i for i, line in enumerate(lines) if line.startswith("PARAM ")) + 1
-        saved.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ParseError, match=f"{saved}:{header}: truncated"):
+        """The payload lacks the last array's values, and says so in line 1."""
+        text, payload = split_artifact(saved)
+        last = text.split("\n")[-2]  # PARAM dense.b 1 size
+        replace_payload(saved, payload[: -8 * int(last.split(" ")[-1])])
+        with pytest.raises(ParseError, match=f"{saved}:1: payload="):
             load_model(str(saved))
 
-    def test_short_row_rejected(self, saved):
-        row = self.row_line(saved)
-        self.edit_line(saved, row, lambda line: line.rsplit(" ", 1)[0])
-        with pytest.raises(ParseError, match=f"{saved}:{row}: expected"):
+    def test_payload_one_byte_short_rejected(self, saved):
+        text, payload = split_artifact(saved)
+        data = saved.read_bytes()
+        saved.write_bytes(data[:-1])
+        # the text now ends without its last newline
+        with pytest.raises(ParseError, match=f"{saved}:{text.count(NL)}: no newline"):
+            load_model(str(saved))
+        saved.write_bytes(data)
+        replace_payload(saved, payload[:-1])
+        with pytest.raises(ParseError, match=f"{saved}:1: payload={len(payload) - 1}, but"):
             load_model(str(saved))
 
-    def test_non_numeric_value_rejected(self, saved):
-        row = self.row_line(saved)
-        self.edit_line(saved, row, lambda line: "abc" + line[line.index(" "):])
-        with pytest.raises(ParseError, match=f"{saved}:{row}: non-numeric"):
+    def test_payload_one_byte_long_rejected(self, saved):
+        text, payload = split_artifact(saved)
+        data = saved.read_bytes()
+        saved.write_bytes(data + b"\0")
+        # the text now ends in the payload's first byte, a line of its own
+        with pytest.raises(ParseError, match=f"{saved}:{text.count(NL) + 1}: "):
+            load_model(str(saved))
+        saved.write_bytes(data)
+        replace_payload(saved, payload + b"\0")
+        with pytest.raises(ParseError, match=f"{saved}:1: payload={len(payload) + 1}, but"):
+            load_model(str(saved))
+
+    def test_param_shape_disagrees_with_payload(self, saved):
+        last = split_artifact(saved)[0].count(NL)  # PARAM dense.b 1 size
+        replace_line(saved, last, lambda line: line + "0")  # ten times the values
+        with pytest.raises(ParseError, match=f"{saved}:1: payload=.* but the headers declare"):
+            load_model(str(saved))
+
+    def test_param_shape_with_the_payload_size_but_wrong_dims(self, saved):
+        """A shape that holds as many values as the model's array is still
+        checked against it, at its PARAM line."""
+        line_no = first_line(saved, "PARAM embedding.E ")
+
+        def swap_dims(line):
+            _, name, ndim, rows, cols = line.split(" ")
+            return f"PARAM {name} {ndim} {cols} {rows}"
+
+        replace_line(saved, line_no, swap_dims)
+        with pytest.raises(ParseError, match=f"{saved}:{line_no}: PARAM embedding.E has"):
+            load_model(str(saved))
+
+    def test_duplicate_param_rejected(self, saved):
+        text, payload = split_artifact(saved)
+        last = text.split(NL)[-2]  # PARAM dense.b 1 size
+        edit_text(saved, lambda text: text + last + NL)
+        replace_payload(saved, payload + payload[-8 * int(last.split(" ")[-1]) :])
+        with pytest.raises(ParseError, match=f"{saved}:{text.count(NL) + 1}: unexpected"):
+            load_model(str(saved))
+
+    def test_qamodel_1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.qam"
+        path.write_text(
+            "QAMODEL 1 task=RELATION kind=MAJORITY hidden= dropout= conv_filters=0 "
+            "conv_width=0 noun_filter=0\nLABELS 1\nbornOn\nPARAM counts 1 1\n2.0\n"
+        )
+        with pytest.raises(ParseError, match=f"{path}:1: QAMODEL 1 .*retrain"):
+            load_model(str(path))
+
+    def test_non_utf8_vocab_rejected(self, saved):
+        lines = saved.read_bytes().split(b"\n")
+        assert lines[1] == b"VOCAB 2"
+        lines[2] = b"\xff" + lines[2]
+        saved.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=f"{saved}:3: not UTF-8"):
             load_model(str(saved))
 
     def test_line_separator_in_label_roundtrips(self, tmp_path):

@@ -1,17 +1,15 @@
-"""Framing shared by the artifact formats, `QAMODEL 2` and `QAIDX 1`.
+"""The one framing of the artifact formats, `QAMODEL 2` and `QAIDX 2`.
 
-An artifact starts with UTF-8 text with "\\n" line ends.  Its first line
-starts with the format's magic and its text ends with a newline.  The
-body is a run of sections, each a header line `NAME field ...` followed
-by the rows it counts.
-
-A format with a payload (`QAMODEL 2`) has `payload=N` right after the
-magic, and its last N bytes are raw little-endian float64: the arrays
-its headers declare by `ndim size ...`, in header order.  Such a file is
-read as bytes, once; only the text before the payload is decoded, and
-the payload must be exactly as long as the declared arrays.  `QAIDX 1`
-has no payload and is read in text mode, so `\\r\\n` and `\\r` line ends
-load too.  Every defect raises ParseError(path, line).
+An artifact is a UTF-8 text header with "\\n" line ends, then a raw
+payload.  Its first line reads `MAGIC VERSION payload=N key=value ...`.
+The lines after it are a run of sections, each a header line `NAME
+field ...` followed by the rows it counts; a `PARAM name ndim size ...`
+header declares an array and has no rows.  The last N bytes of the file
+are the declared arrays' values as little-endian float64, in header
+order.  The file is read as bytes, once; only the text is decoded, and
+the payload must be exactly as long as the declared arrays.  Every
+defect raises ParseError(path, line).  `text_lines` and `undecodable`
+serve the plain-text data files.
 """
 
 import math
@@ -69,48 +67,34 @@ def _check_magic(path: str, text: str, magic: str) -> None:
     raise ParseError(path, 1, f"not a {name} {version} file")
 
 
-def _split_payload(path: str, magic: str) -> tuple[str, memoryview]:
-    """The decoded text of a payload artifact, and a view of its payload."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
-    first = _decode(path, data[:end] if end >= 0 else data)
-    _check_magic(path, first, magic)
-    if end < 0:
-        raise ParseError(path, 1, "truncated file: no newline")
-    field = first[len(magic) :].partition(" ")[0]
-    key, _, size = field.partition("=")
-    if key != "payload" or not (size.isascii() and size.isdigit()):
-        raise ParseError(path, 1, f"expected payload=N after {magic.strip()!r}, got {field!r}")
-    n, rest = int(size), len(data) - end - 1
-    if n > rest:
-        raise ParseError(path, 1, f"payload={n}, but only {rest} bytes follow line 1")
-    return _decode(path, data[: len(data) - n]), memoryview(data)[len(data) - n :]
-
-
 class Artifact:
     """An artifact's text lines, read section by section from line 2 on,
-    and, for a format with one, its payload."""
+    and its payload."""
 
-    def __init__(self, path: str, magic: str, payload: bool = False):
+    def __init__(self, path: str, magic: str):
         self.path = path
-        if payload:
-            text, self.payload = _split_payload(path, magic)
-        else:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
-            except UnicodeDecodeError:
-                raise undecodable(path) from None
-            _check_magic(path, text, magic)
-            self.payload = memoryview(b"")
-        self.lines = text.split("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        end = data.find(b"\n")
+        first = _decode(path, data[:end] if end >= 0 else data)
+        _check_magic(path, first, magic)
+        if end < 0:
+            raise ParseError(path, 1, "truncated file: no newline")
+        fields = first.split(" ")[len(magic.split()) :]
+        key, _, size = fields[0].partition("=")
+        if key != "payload" or not (size.isascii() and size.isdigit()):
+            raise ParseError(path, 1, f"expected payload=N after {magic.strip()!r}, "
+                             f"got {fields[0]!r}")
+        n, rest = int(size), len(data) - end - 1
+        if n > rest:
+            raise ParseError(path, 1, f"payload={n}, but only {rest} bytes follow line 1")
+        self.payload = memoryview(data)[len(data) - n :]
+        self.lines = _decode(path, data[: len(data) - n]).split("\n")
         if self.lines.pop() != "":
-            message = "truncated file: no final newline"
-            if payload:
-                message = (f"no newline where the last {len(self.payload)} bytes begin: "
-                           "truncated or extended file")
-            raise ParseError(path, len(self.lines) + 1, message)
+            raise ParseError(path, len(self.lines) + 1,
+                             f"no newline where the last {n} bytes begin: "
+                             "truncated or extended file")
+        self.fields = dict(f.partition("=")[::2] for f in fields)  # line 1's key=value pairs
         self.pos = 1  # index of the next unread line
         self.start = 1  # index of the last section's first row
         self.shapes: list[tuple[int, ...]] = []  # of the payload's arrays
@@ -150,11 +134,6 @@ class Artifact:
         self.pos += n
         return self.lines[self.start : self.pos]
 
-    def bad(self, row: str, message: str) -> ParseError:
-        """A ParseError at row, a row of the last section that failed to
-        parse.  Rows parse in order, so its first copy is the one."""
-        return ParseError(self.path, self.lines.index(row, self.start) + 1, message)
-
     def shape(self, fields: list[str]) -> tuple[int, ...]:
         """The shape that the last header's `ndim size ...` fields give
         the next array of the payload."""
@@ -180,7 +159,7 @@ class Artifact:
 
 
 def write_artifact(path: str, magic: str, lines: list[str], arrays: list[np.ndarray]) -> None:
-    """Write a payload artifact: the line `{magic}payload=N {lines[0]}`,
+    """Write an artifact: the line `{magic}payload=N {lines[0]}`,
     the other lines, then the arrays as N bytes of little-endian float64,
     in order, so the bytes are the same on any host."""
     size = 8 * sum(a.size for a in arrays)

@@ -122,11 +122,14 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
         if normalized not in bucket:
             bucket.append(normalized)
 
-    for fact in facts:
-        if fact.subject not in aliases:
-            raise IntegrityError(
-                f"fact subject {fact.subject!r} has no alias in {aliases_path}"
-            )
+    if any(fact.subject not in aliases for fact in facts):
+        # only this error path reads the file again, for the fact's line
+        line_no, subject = next(
+            (n, s) for n, (s, _, _) in _read_fields(facts_path, 3) if s not in aliases
+        )
+        raise IntegrityError(
+            f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
+        )
     return KnowledgeBase(facts, {e: tuple(a) for e, a in aliases.items()})
 
 

@@ -6,16 +6,30 @@ Each (entity, alias) pair is one document.  For an n-gram g in alias a:
     idf(g)    = ln((1 + N) / (1 + df(g))) + 1
     weight    = tf * idf
 
-Query scoring sums, over the phrase's n-grams, the maximum posting
-weight per entity, so multi-gram overlap is rewarded while duplicated
-aliases cannot inflate a single gram's contribution.
+An entity's weight for g is its best over its aliases, so the index
+keeps one posting per (n-gram, entity).  Query scoring sums those
+weights over the phrase's n-grams, so multi-gram overlap is rewarded
+while duplicated aliases cannot inflate a single gram's contribution.
+
+Both indexes are saved as one `QAIDX 2` artifact:
+
+    QAIDX 2 payload=N aliases=A
+    PARAM weight 1 P
+    POSTINGS G
+    gram<TAB>entity<TAB>entity...     one row per n-gram, sorted
+    EDGES M
+    subject<TAB>relation<TAB>object   grouped by sorted subject
+
+The payload holds the P posting weights, in row order.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .artifact import Artifact
+import numpy as np
+
+from .artifact import Artifact, write_artifact
 from .corpus import KnowledgeBase
 from .errors import IntegrityError, ParseError
 from .textproc import ngrams
@@ -41,11 +55,11 @@ DEFAULT_CANDIDATE_CAP = 50
 
 @dataclass(frozen=True)
 class EntityIndex:
-    """postings: n-gram -> ((entity, alias, weight), ...) sorted by (entity, alias)."""
+    """postings: n-gram -> ((entity, weight), ...) sorted by entity, with
+    each entity's best weight over its aliases."""
 
-    postings: dict[str, tuple[tuple[str, str, float], ...]]
+    postings: dict[str, tuple[tuple[str, float], ...]]
     alias_count: int
-    df: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -72,9 +86,10 @@ class AnswerCandidate:
 
 
 def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
-    """Index every (entity, alias) document by its 1..3-grams with TF-IDF weights."""
+    """Index every (entity, alias) document by its 1..3-grams with TF-IDF
+    weights, keeping each entity's best weight per n-gram."""
     documents = [
-        (entity, alias)
+        (entity, Counter(ngrams(alias.split(" "), MAX_NGRAM)))
         for entity in kb.aliases
         for alias in kb.aliases[entity]
     ]
@@ -82,48 +97,32 @@ def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
         raise IntegrityError("cannot build an entity index from a KB with no aliases")
 
     n_docs = len(documents)
-    doc_counts = []
     df: dict[str, int] = {}
-    for entity, alias in documents:
-        counts = Counter(ngrams(alias.split(" "), MAX_NGRAM))
-        doc_counts.append((entity, alias, counts))
+    for _, counts in documents:
         for gram in counts:
             df[gram] = df.get(gram, 0) + 1
 
-    raw: dict[str, list[tuple[str, str, float]]] = {}
-    for entity, alias, counts in doc_counts:
+    best: dict[str, dict[str, float]] = {}
+    for entity, counts in documents:
         total = sum(counts.values())
         for gram, count in counts.items():
             tf = count / total
             idf = math.log((1 + n_docs) / (1 + df[gram])) + 1.0
-            raw.setdefault(gram, []).append((entity, alias, tf * idf))
+            rows = best.setdefault(gram, {})
+            if tf * idf > rows.get(entity, 0.0):
+                rows[entity] = tf * idf
 
-    postings = {
-        gram: tuple(sorted(rows, key=lambda r: (r[0], r[1])))
-        for gram, rows in raw.items()
-    }
-    return EntityIndex(postings, n_docs, df)
+    return EntityIndex({gram: tuple(sorted(rows.items())) for gram, rows in best.items()}, n_docs)
 
 
 def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
     """Top-k entities for a phrase; score = sum over phrase n-grams of the
-    entity's best posting weight for that n-gram."""
+    entity's weight for that n-gram."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tokens = list(phrase_tokens)
-    if not tokens:
-        return CandidateSet((), k)
     scores: dict[str, float] = {}
-    for gram in ngrams(tokens, MAX_NGRAM):
-        rows = idx.postings.get(gram)
-        if not rows:
-            continue
-        best: dict[str, float] = {}
-        for entity, _alias, weight in rows:
-            prev = best.get(entity)
-            if prev is None or weight > prev:
-                best[entity] = weight
-        for entity, weight in best.items():
+    for gram in ngrams(list(phrase_tokens), MAX_NGRAM):
+        for entity, weight in idx.postings.get(gram, ()):
             scores[entity] = scores.get(entity, 0.0) + weight
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return CandidateSet(tuple(ranked[:k]), k)
@@ -148,60 +147,50 @@ def query_reach(idx: ReachIndex, candidates: CandidateSet, relation: str) -> lis
 
 
 def save_indexes(entity_index: EntityIndex, reach_index: ReachIndex, path: str) -> None:
-    """Write both indexes as one versioned, byte-reproducible text file."""
-    lines = ["QAIDX 1"]
-    lines.append(f"ALIASES {entity_index.alias_count}")
-    df_items = sorted(entity_index.df.items())
-    lines.append(f"DF {len(df_items)}")
-    for gram, df in df_items:
-        lines.append(f"{gram}\t{df}")
-    n_postings = sum(len(rows) for rows in entity_index.postings.values())
-    lines.append(f"POSTINGS {n_postings}")
-    for gram in sorted(entity_index.postings):
-        for entity, alias, weight in entity_index.postings[gram]:
-            lines.append(f"{gram}\t{entity}\t{alias}\t{weight!r}")
-    n_edges = sum(len(rows) for rows in reach_index.edges.values())
-    lines.append(f"EDGES {n_edges}")
+    """Write both indexes as one byte-reproducible `QAIDX 2` artifact."""
+    grams = sorted(entity_index.postings)
+    rows = [entity_index.postings[gram] for gram in grams]
+    weights = [weight for row in rows for _, weight in row]
+    lines = [f"aliases={entity_index.alias_count}", f"PARAM weight 1 {len(weights)}",
+             f"POSTINGS {len(grams)}"]
+    lines += ["\t".join([gram, *(entity for entity, _ in row)]) for gram, row in zip(grams, rows)]
+    lines.append(f"EDGES {sum(len(edges) for edges in reach_index.edges.values())}")
     for subject in sorted(reach_index.edges):
         for relation, obj in reach_index.edges[subject]:
             lines.append(f"{subject}\t{relation}\t{obj}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, "QAIDX 2 ", lines, [np.array(weights)])
 
 
 def load_indexes(path: str) -> tuple[EntityIndex, ReachIndex]:
     """Inverse of save_indexes."""
-    src = Artifact(path, "QAIDX 1\n")
-    alias_count = src.count("ALIASES")
+    src = Artifact(path, "QAIDX 2 ")
+    alias_count = src.counts([src.fields.get("aliases", "")])[0]
+    kind, *fields = src.header()
+    if kind != "PARAM" or len(fields) < 2 or fields[0] != "weight":
+        raise src.error(f"expected 'PARAM weight' header, got {src.lines[src.pos - 1]!r}")
+    param_line, shape = src.pos, src.shape(fields[1:])
+    weights = src.arrays()[0].ravel().tolist()
 
-    df: dict[str, int] = {}
-    try:
-        for line in src.take(src.count("DF")):
-            gram, value = line.split("\t")
-            df[gram] = int(value)
-    except ValueError:
-        raise src.bad(line, f"bad DF line {line!r}") from None
-
-    postings: dict[str, list[tuple[str, str, float]]] = {}
-    try:
-        for line in src.take(src.count("POSTINGS")):
-            gram, entity, alias, weight = line.split("\t")
-            postings.setdefault(gram, []).append((entity, alias, float(weight)))
-    except ValueError:
-        raise src.bad(line, f"bad posting line {line!r}") from None
+    postings: dict[str, tuple[tuple[str, float], ...]] = {}
+    at = 0
+    for i, line in enumerate(src.take(src.count("POSTINGS"))):
+        gram, *entities = fields = line.split("\t")
+        if not entities or "" in fields or gram in postings:
+            raise ParseError(path, src.start + i + 1, f"bad posting line {line!r}")
+        postings[gram] = tuple(zip(entities, weights[at : at + len(entities)]))
+        at += len(entities)
+    if shape != (at,):
+        raise ParseError(path, param_line, f"PARAM weight has shape {shape}, "
+                         f"but the postings hold {at} entities")
 
     edges: dict[str, list[tuple[str, str]]] = {}
-    try:
-        for line in src.take(src.count("EDGES")):
-            subject, relation, obj = line.split("\t")
-            edges.setdefault(subject, []).append((relation, obj))
-    except ValueError:
-        raise src.bad(line, f"bad edge line {line!r}") from None
+    for i, line in enumerate(src.take(src.count("EDGES"))):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, src.start + i + 1, f"bad edge line {line!r}")
+        edges.setdefault(fields[0], []).append((fields[1], fields[2]))
     if not src.done():
         raise ParseError(path, src.pos + 1, f"unexpected line after EDGES: {src.lines[src.pos]!r}")
 
-    entity_index = EntityIndex(
-        {g: tuple(rows) for g, rows in postings.items()}, alias_count, df
-    )
     reach_index = ReachIndex({s: tuple(rows) for s, rows in edges.items()})
-    return entity_index, reach_index
+    return EntityIndex(postings, alias_count), reach_index

@@ -17,6 +17,7 @@ import numpy as np
 from .artifact import Artifact, write_artifact
 from .errors import ParseError
 from .models import (
+    NEURAL_KINDS,
     ArchitectureDescriptor,
     MajorityModel,
     MultinomialNBModel,
@@ -99,10 +100,9 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    src = Artifact(path, "QAMODEL 2 ", payload=True)
-    pairs = dict(item.partition("=")[::2] for item in src.lines[0].split(" ")[2:])
+    src = Artifact(path, "QAMODEL 2 ")
     try:
-        desc = _parse_descriptor(pairs)
+        desc = _parse_descriptor(src.fields)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model header: {exc!r}") from None
 
@@ -117,8 +117,11 @@ def load_model(path: str):
         else:
             raise src.error(f"unexpected section {src.lines[src.pos - 1]!r}")
     values = dict(zip(blocks, src.arrays()))
+    dim = 0
+    if desc.kind in NEURAL_KINDS:
+        dim = _checked_width(path, desc, len(sections["VOCAB"]), len(sections["LABELS"]), blocks)
     try:
-        model = _empty_model(desc, pairs, sections["VOCAB"], sections["LABELS"], blocks)
+        model = _empty_model(desc, src.fields, sections["VOCAB"], sections["LABELS"], dim)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model: {exc!r}") from None
     for name, array in _stored_arrays(model).items():
@@ -135,11 +138,34 @@ def load_model(path: str):
     return model
 
 
-def _empty_model(desc, pairs, vocab_tokens, labels, blocks):
+def _checked_width(path, desc, n_vocab: int, n_labels: int, blocks) -> int:
+    """The width of a neural model's embedding.E.  Its PARAM line must
+    give it a pad and an OOV row before the vocabulary's, and the other
+    PARAM lines must declare as many values as the descriptor implies,
+    so the payload's length bounds every array the load then makes."""
+    line_no, shape = blocks.get("embedding.E", (1, (n_vocab + 2, 0)))
+    if len(shape) != 2 or shape[0] != n_vocab + 2:
+        raise ParseError(path, line_no, f"PARAM embedding.E has shape {shape}, "
+                         f"expected {n_vocab + 2} rows")
+    size, feed = 0, shape[1]
+    if desc.kind == "CONV_GRU":
+        size, feed = desc.conv_filters * (desc.conv_width * feed + 1), desc.conv_filters
+    gates = 4 if desc.kind in ("BILSTM2", "NT_BILSTM1") else 3
+    for hidden in desc.hidden_sizes:
+        size += 2 * gates * hidden * (feed + hidden + 1)
+        feed = 2 * hidden
+    size += (2 if desc.task == "ENTITY" else n_labels) * (feed + 1)
+    declared = sum(math.prod(s) for name, (_, s) in blocks.items() if name != "embedding.E")
+    if size != declared:
+        raise ParseError(path, 1, f"the header implies {size} values besides embedding.E, "
+                         f"but the PARAM lines declare {declared}")
+    return shape[1]
+
+
+def _empty_model(desc, pairs, vocab_tokens, labels, dim):
     """A model of the descriptor whose arrays are zeros sized from the
     file's VOCAB and LABELS; a neural embedding has a pad and an OOV row
-    before the vocabulary's, and the width of the file's embedding.E, or
-    0 if that holds no values, so the payload's length bounds the width."""
+    before the vocabulary's, and is dim wide."""
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
     if desc.kind == "NAIVE_ALL_ENTITY":
         return NaiveAllEntityModel(desc)
@@ -148,8 +174,6 @@ def _empty_model(desc, pairs, vocab_tokens, labels, blocks):
     if desc.kind == "NB_MULTINOMIAL":
         return MultinomialNBModel(desc, label_space, float(pairs["alpha"]), vocab_tokens)
     vocab = {tok: i + 2 for i, tok in enumerate(vocab_tokens)}
-    shape = blocks.get("embedding.E", (0, (0,)))[1]
-    dim = shape[-1] if math.prod(shape) else 0
     model = NeuralSequenceModel(
         descriptor=desc,
         vocab=vocab,

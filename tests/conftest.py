@@ -41,8 +41,8 @@ def toy_kb(toy_files):
 
 
 def split_artifact(path) -> tuple[str, bytes]:
-    """An artifact file's text and its payload, the last N bytes when its
-    first line declares payload=N (and b"" for a text-only file)."""
+    """An artifact file's text and its payload, the last N bytes, where
+    its first line declares payload=N."""
     data = path.read_bytes()
     fields = data.split(b"\n", 1)[0].split(b" ")
     n = next((int(f[8:]) for f in fields if f.startswith(b"payload=")), 0)

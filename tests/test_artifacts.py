@@ -1,6 +1,6 @@
-"""Model and index files: byte-stable round trips, a committed model file
-that pins the QAMODEL 2 layout, and any damage to a file either leaves a
-usable artifact or raises ParseError."""
+"""Model and index files: byte-stable round trips, committed files that
+pin the QAMODEL 2 and QAIDX 2 layouts, and any damage to a file either
+leaves a usable artifact or raises ParseError."""
 
 import os
 
@@ -110,6 +110,29 @@ def test_golden_model_saves_to_the_same_bytes(tmp_path):
     path = tmp_path / "again.qam"
     save_model(load_model(GOLDEN), str(path))
     with open(GOLDEN, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+# Both indexes of data/toy, written by `qa build-index` when QAIDX 2 was
+# introduced.
+GOLDEN_INDEX = os.path.join(os.path.dirname(__file__), "golden", "toy.qaidx")
+
+
+def test_golden_index_gives_known_candidates():
+    entity_index, reach_index = load_indexes(GOLDEN_INDEX)
+    candidates = query_entity_index(entity_index, ["tom", "hanks"], 5)
+    assert candidates.candidates == (
+        ("e1", 2.3655156698609248), ("e2", 0.5036085412553302), ("e3", 0.40771451710473655)
+    )
+    assert [a.object for a in query_reach(reach_index, candidates, "bornOn")] == [
+        "1956", "1962", "1970"
+    ]
+
+
+def test_golden_index_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "again.qaidx"
+    save_indexes(*load_indexes(GOLDEN_INDEX), str(path))
+    with open(GOLDEN_INDEX, "rb") as fh:
         assert path.read_bytes() == fh.read()
 
 

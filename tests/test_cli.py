@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kbqa.cli import main, parse_args, read_config
 
 from conftest import edit_text, first_line, replace_line, replace_payload, split_artifact
+
+
+GOLDEN = Path(__file__).parent / "golden" / "nt_bilstm1.qam"
 
 
 def run_cli(*argv):
@@ -279,31 +284,49 @@ def train_nt_bilstm1(toy, tmp_path):
 
 
 def keep_header_only(path):
-    path.write_text("QAIDX 1\n")
+    path.write_text("QAIDX 2 payload=0 aliases=4\n")
     return 2
 
 
 def cut_posting(path):
+    """A posting row with its n-gram but no entity."""
     line_no = first_line(path, "POSTINGS ") + 3
-    replace_line(path, line_no, lambda line: line.rsplit("\t", 1)[0])
+    replace_line(path, line_no, lambda line: line.split("\t")[0])
     return line_no
 
 
 def bad_weight(path):
-    line_no = first_line(path, "POSTINGS ") + 2
-    replace_line(path, line_no, lambda line: line.rsplit("\t", 1)[0] + "\tabc")
+    """One weight fewer than the postings hold, in PARAM and payload alike."""
+    line_no = first_line(path, "PARAM weight ")
+    replace_line(path, line_no, lambda line: f"PARAM weight 1 {int(line.split(' ')[3]) - 1}")
+    replace_payload(path, split_artifact(path)[1][:-8])
+    return line_no
+
+
+def param_without_shape(path):
+    line_no = first_line(path, "PARAM weight ")
+    replace_line(path, line_no, lambda line: "PARAM weight")
     return line_no
 
 
 def bad_alias_count(path):
-    replace_line(path, 2, lambda line: "ALIASES x")
-    return 2
+    replace_line(path, 1, lambda line: line.replace(" aliases=", " aliases=x"))
+    return 1
 
 
-def bad_df(path):
-    line_no = first_line(path, "DF ") + 1
-    replace_line(path, line_no, lambda line: line.split("\t")[0] + "\tz")
-    return line_no
+def qaidx_1(path):
+    path.write_text("QAIDX 1\nALIASES 4\nDF 0\nPOSTINGS 0\nEDGES 0\n")
+    return 1
+
+
+def payload_short(path):
+    replace_payload(path, split_artifact(path)[1][:-1])
+    return 1
+
+
+def payload_long(path):
+    replace_payload(path, split_artifact(path)[1] + b"\0")
+    return 1
 
 
 class TestArtifactErrors:
@@ -316,7 +339,8 @@ class TestArtifactErrors:
         )
 
     @pytest.mark.parametrize(
-        "corrupt", [keep_header_only, cut_posting, bad_weight, bad_alias_count, bad_df]
+        "corrupt", [keep_header_only, cut_posting, bad_weight, param_without_shape,
+                    bad_alias_count, qaidx_1, payload_short, payload_long]
     )
     def test_bad_index(self, indexed, tmp_path, capsys, corrupt):
         em, rm = train_toy_models(indexed, tmp_path)
@@ -343,9 +367,17 @@ class TestArtifactErrors:
     def test_non_utf8_index(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
         index = indexed[3]
-        line_no = first_line(index, "DF ") + 1
+        line_no = first_line(index, "POSTINGS ") + 1
         insert_bytes(index, line_no, b"\xff")
         self.rejects(capsys, index, em, rm, index, line_no)
+
+    def test_huge_hidden_size_rejected_before_allocating(self, indexed, tmp_path, capsys):
+        """A header that implies far more values than the payload holds."""
+        _, rm = train_toy_models(indexed, tmp_path)
+        em = tmp_path / "golden.qam"
+        em.write_bytes(GOLDEN.read_bytes())
+        replace_line(em, 1, lambda line: line.replace(" hidden=3 ", " hidden=300000000000 "))
+        self.rejects(capsys, indexed[3], em, rm, em, 1)
 
     def test_non_utf8_model(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
@@ -417,6 +449,15 @@ class TestDataFileErrors:
         )
         assert code == 1
         assert f"{bad}:2: " in capsys.readouterr().err
+
+
+    def test_fact_subject_without_alias(self, toy_files, tmp_path, capsys):
+        facts, aliases, _ = toy_files
+        facts.write_text(facts.read_text() + "e9\tbornOn\t1900\n")
+        code = run_cli("build-index", "--facts", str(facts), "--aliases", str(aliases),
+                       "--out", str(tmp_path / "kb.qaidx"))
+        assert code == 1
+        assert f"{facts}:5: fact subject 'e9'" in capsys.readouterr().err
 
 
 class TestDeterminism:

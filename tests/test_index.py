@@ -6,6 +6,7 @@ import pytest
 from kbqa.corpus import Fact, KnowledgeBase
 from kbqa.errors import IntegrityError
 from kbqa.index import (
+    MAX_NGRAM,
     CandidateSet,
     build_entity_index,
     build_reach_index,
@@ -14,6 +15,7 @@ from kbqa.index import (
     query_reach,
     save_indexes,
 )
+from kbqa.textproc import ngrams
 
 from oracles import brute_answer, brute_rank, random_kb, random_phrase
 
@@ -27,22 +29,31 @@ THREE_ALIAS_KB = kb_of(
 )
 
 
+def doc_freq(kb: KnowledgeBase) -> dict[str, int]:
+    """The number of (entity, alias) documents each n-gram occurs in."""
+    df: dict[str, int] = {}
+    for aliases in kb.aliases.values():
+        for alias in aliases:
+            for gram in set(ngrams(alias.split(" "), MAX_NGRAM)):
+                df[gram] = df.get(gram, 0) + 1
+    return df
+
+
 class TestBuildEntityIndex:
     def test_df_and_idf(self):
         idx = build_entity_index(THREE_ALIAS_KB)
         assert idx.alias_count == 3
-        assert idx.df["tom"] == 2
-        assert idx.df["hanks"] == 2
-        weight = dict(
-            (e, w) for e, _, w in idx.postings["tom"]
-        )["e1"]
+        df = doc_freq(THREE_ALIAS_KB)
+        assert df["tom"] == 2
+        assert df["hanks"] == 2
+        weight = dict(idx.postings["tom"])["e1"]
         # alias "tom hanks" has 3 n-grams, one of them "tom"
         assert weight == pytest.approx((1 / 3) * (math.log(4 / 3) + 1), rel=1e-12)
         assert math.log(4 / 3) + 1 == pytest.approx(1.28768, abs=1e-5)
 
     def test_single_alias_weight_one(self):
         idx = build_entity_index(kb_of({"e1": ("a",)}))
-        assert idx.postings["a"] == (("e1", "a", 1.0),)
+        assert idx.postings["a"] == (("e1", 1.0),)
 
     def test_absent_gram_has_no_posting(self):
         idx = build_entity_index(THREE_ALIAS_KB)
@@ -55,15 +66,22 @@ class TestBuildEntityIndex:
     def test_tf_sums_to_one_per_alias(self):
         kb = kb_of({"e1": ("new york city",), "e2": ("old york",)})
         idx = build_entity_index(kb)
-        for entity, alias in (("e1", "new york city"), ("e2", "old york")):
+        df = doc_freq(kb)
+        for entity in ("e1", "e2"):
             total_tf = 0.0
             for gram, rows in idx.postings.items():
-                for ent, al, weight in rows:
-                    if ent == entity and al == alias:
-                        idf = math.log((1 + idx.alias_count) / (1 + idx.df[gram])) + 1
+                for ent, weight in rows:
+                    if ent == entity:
+                        idf = math.log((1 + idx.alias_count) / (1 + df[gram])) + 1
                         total_tf += weight / idf
             assert total_tf == pytest.approx(1.0, rel=1e-12)
 
+    def test_entity_keeps_its_best_weight_per_gram(self):
+        # "york" is 1 of 3 n-grams of "old york" and 1 of 6 of "new york city"
+        kb = kb_of({"e1": ("new york city", "old york"), "e2": ("york",)})
+        idx = build_entity_index(kb)
+        idf = math.log(4 / 4) + 1
+        assert idx.postings["york"] == (("e1", (1 / 3) * idf), ("e2", 1.0 * idf))
 
 class TestQueryEntityIndex:
     def test_bigram_match_wins(self):
@@ -162,7 +180,6 @@ class TestSerialization:
         save_indexes(entity_idx, reach_idx, str(path))
         loaded_entity, loaded_reach = load_indexes(str(path))
         assert loaded_entity.alias_count == entity_idx.alias_count
-        assert loaded_entity.df == entity_idx.df
         assert loaded_reach.edges == reach_idx.edges
         for _ in range(1000):
             phrase = random_phrase(rng)

@@ -53,13 +53,25 @@ def _choice(options):
     return parse
 
 
+def _at_least_one(value: str) -> int:
+    """Parser for a count that must be >= 1, such as k."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _flag(value: str) -> bool:
     if value not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError("expected 1/true/yes or 0/false/no")
     return value in ("1", "true", "yes")
 
 
-# typed schema for config-file keys; parsers raise ValueError on bad input
+# typed schema for config-file keys; parsers raise ValueError or
+# ArgumentTypeError on bad input
 _SCHEMA = {
     "seed": int,
     "max_len": int,
@@ -72,7 +84,7 @@ _SCHEMA = {
     "hidden": str,
     "dropout": str,
     "ratios": str,
-    "k": int,
+    "k": _at_least_one,
     "desk_scale": int,
     "embedding_dim": int,
     "alpha": float,
@@ -136,7 +148,7 @@ def read_config(path: str) -> dict:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
                 values[key] = _SCHEMA[key](value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(
                     f"{path}:{line_no}: bad value {value!r} for key {key!r}: {exc}"
                 ) from None
@@ -207,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation-model")
     p.add_argument("--lexicon")
     p.add_argument("--split", choices=_SPLITS)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_at_least_one)
     p.add_argument("--report-out", help="prefix for the .txt/.tsv report files")
 
     p = sub.add_parser("ask", help="answer one question")
@@ -217,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entity-model", required=True)
     p.add_argument("--relation-model", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_at_least_one)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every architecture")
     _add_common(p)

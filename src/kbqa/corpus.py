@@ -31,7 +31,6 @@ __all__ = [
     "load_facts",
     "load_questions",
     "random_embedding_table",
-    "save_kb",
     "split_dataset",
 ]
 
@@ -131,17 +130,6 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
             f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
         )
     return KnowledgeBase(facts, {e: tuple(a) for e, a in aliases.items()})
-
-
-def save_kb(kb: KnowledgeBase, facts_path: str, aliases_path: str) -> None:
-    """Write a KB back out in the load_facts formats (round-trip safe)."""
-    with open(facts_path, "w", encoding="utf-8") as fh:
-        for fact in kb.facts:
-            fh.write(f"{fact.subject}\t{fact.relation}\t{fact.object}\n")
-    with open(aliases_path, "w", encoding="utf-8") as fh:
-        for entity in kb.aliases:
-            for alias in kb.aliases[entity]:
-                fh.write(f"{entity}\t{alias}\n")
 
 
 def derive_gold_tags(tokens: list[str] | tuple[str, ...], aliases) -> list[int]:

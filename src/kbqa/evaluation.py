@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .index import DEFAULT_CANDIDATE_CAP, EntityIndex, query_entity_index
-from .models import build_model, predict_relation, predict_tags, train
+from .models import build_model, predict_relation_batch, predict_tags_batch, train
 from .models import relation_accuracy, tag_accuracy
 from .neural.config import TrainConfig
 from .pipeline import StructuredQuery
@@ -89,12 +89,13 @@ def question_correct(
 
 
 def _predict_once(predict, models, dataset, lexicon) -> dict[int, list]:
-    """predict(model, tokens, lexicon) on every question, once per distinct
-    model object, keyed by id(model)."""
+    """predict(model, token_seqs, lexicon) over the whole dataset, once per
+    distinct model object, keyed by id(model)."""
+    token_seqs = [q.tokens for q in dataset]
     out: dict[int, list] = {}
     for model in models:
         if id(model) not in out:
-            out[id(model)] = [predict(model, q.tokens, lexicon) for q in dataset]
+            out[id(model)] = predict(model, token_seqs, lexicon)
     return out
 
 
@@ -110,8 +111,9 @@ def evaluate(
     """Accuracy rows for every given model; pipelines are (entity, relation)
     model pairs scored end to end against the entity index.
 
-    Each distinct model object reads each question once; every row that
-    names it reads those predictions."""
+    Each distinct model object reads each question once, in length-sorted
+    batches (see models.predict_tags_batch); every row that names it reads
+    those predictions."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -123,8 +125,8 @@ def evaluate(
 
     entity_side = [*entity_models.values(), *(em for em, _ in pipelines.values())]
     relation_side = [*relation_models.values(), *(rm for _, rm in pipelines.values())]
-    tags = _predict_once(predict_tags, entity_side, dataset, lexicon)
-    relations = _predict_once(predict_relation, relation_side, dataset, lexicon)
+    tags = _predict_once(predict_tags_batch, entity_side, dataset, lexicon)
+    relations = _predict_once(predict_relation_batch, relation_side, dataset, lexicon)
 
     rows = []
     for name, model in entity_models.items():

@@ -14,6 +14,10 @@ every token as entity).
 Entity models emit per-token binary tags; relation models emit one
 class over the label space.  An all-zero tag prediction falls back to
 all-ones so the pipeline always has an entity phrase.
+
+predict_tags_batch and predict_relation_batch run a neural model on
+length-sorted questions, PREDICT_BATCH per forward pass; carry masking
+keeps right padding out of every real position.
 """
 
 from dataclasses import dataclass
@@ -48,7 +52,9 @@ __all__ = [
     "default_descriptor",
     "entity_phrase",
     "predict_relation",
+    "predict_relation_batch",
     "predict_tags",
+    "predict_tags_batch",
     "relation_accuracy",
     "tag_accuracy",
     "train",
@@ -58,6 +64,7 @@ NEURAL_KINDS = ("BILSTM2", "NT_BILSTM1", "BIGRU2", "CONV_GRU")
 BASELINE_KINDS = ("NB_MULTINOMIAL", "MAJORITY", "NAIVE_ALL_ENTITY")
 TASKS = ("ENTITY", "RELATION")
 UNK_ID = 1
+PREDICT_BATCH = 50  # questions per predict_probs call in the batched path
 
 # (hidden sizes, dropout rates) per neural kind; BIGRU2/BILSTM2 first-layer
 # sizes follow the tuned first-to-second ratios 3.5 and 3.1 over a
@@ -367,21 +374,15 @@ class NeuralSequenceModel:
     # -- prediction ---------------------------------------------------------
 
     def predict_probs(self, token_seqs) -> np.ndarray:
+        """Softmax outputs for a batch: [B, T, 2] for a tagger, [B, classes]
+        for a classifier.  The layers keep none of the batch's activations
+        afterwards, so a model does not hold its last prediction batch."""
         ids, mask = self.encode(token_seqs)
         _, _, logits = self._forward(ids, mask, training=False)
+        for layer in (self.embedding, self.conv, *self.recurrents, self.dense):
+            if layer is not None:
+                layer.forget()
         return softmax(logits)
-
-    def predict_token_tags(self, tokens) -> list[int]:
-        """Argmax tags for one token sequence; truncated tail positions get 0."""
-        probs = self.predict_probs([list(tokens)])[0]
-        seen = min(len(tokens), self.max_len)
-        tags = list(np.argmax(probs[:seen], axis=1).astype(int))
-        return tags + [0] * (len(tokens) - seen)
-
-    def predict_label(self, tokens) -> tuple[str, float]:
-        probs = self.predict_probs([list(tokens)])[0]
-        best = int(np.argmax(probs))
-        return self.label_space.labels[best], float(probs[best])
 
 
 class MajorityModel:
@@ -520,23 +521,54 @@ def _model_input(model, tokens, lexicon) -> FilterResult:
     return FilterResult(tuple(tokens), tuple(range(len(tokens))))
 
 
-def predict_tags(model, tokens, lexicon=None) -> TagPrediction:
-    """Tag a question, applying noun-cluster filtering when the model's
+def _model_outputs(model, inputs, tagger: bool) -> list:
+    """Raw tags (tagger) or (label, probability) per model input, in input
+    order.  A model with predict_probs reads the inputs sorted by kept
+    length, at most PREDICT_BATCH per call, so each call pads little; tags
+    past max_len are 0.  Any other model is asked once per input."""
+    if not hasattr(model, "predict_probs"):
+        ask = model.predict_token_tags if tagger else model.predict_label
+        return [ask(seen.kept_tokens) for seen in inputs]
+    outputs = [None] * len(inputs)
+    order = sorted(range(len(inputs)), key=lambda i: len(inputs[i].kept_tokens))
+    for start in range(0, len(order), PREDICT_BATCH):
+        chunk = order[start : start + PREDICT_BATCH]
+        probs = model.predict_probs([inputs[i].kept_tokens for i in chunk])
+        for i, row in zip(chunk, probs):
+            if tagger:
+                n_kept = len(inputs[i].kept_tokens)
+                seen = min(n_kept, model.max_len)
+                outputs[i] = np.argmax(row[:seen], axis=1).tolist() + [0] * (n_kept - seen)
+            else:
+                best = int(np.argmax(row))
+                outputs[i] = (model.label_space.labels[best], float(row[best]))
+    return outputs
+
+
+def predict_tags_batch(model, token_seqs, lexicon=None) -> list[TagPrediction]:
+    """Tag each question, applying noun-cluster filtering when the model's
     descriptor asks for it and falling back to all-ones on an all-zero
     prediction."""
-    tokens = list(tokens)
-    if not tokens:
+    token_seqs = [list(tokens) for tokens in token_seqs]
+    if not all(token_seqs):
         raise ValueError("cannot tag an empty token sequence")
-    seen = _model_input(model, tokens, lexicon)
-    raw = list(model.predict_token_tags(seen.kept_tokens))
-    degraded = seen.degraded
-    if all(t == 0 for t in raw):
-        raw = [1] * len(seen.kept_tokens)
-        degraded = True
-    mapped = [0] * len(tokens)
-    for pos, src in enumerate(seen.index_map):
-        mapped[src] = raw[pos]
-    return TagPrediction(tuple(raw), tuple(mapped), degraded)
+    inputs = [_model_input(model, tokens, lexicon) for tokens in token_seqs]
+    predictions = []
+    for tokens, seen, raw in zip(token_seqs, inputs, _model_outputs(model, inputs, True)):
+        degraded = seen.degraded
+        if all(t == 0 for t in raw):
+            raw = [1] * len(seen.kept_tokens)
+            degraded = True
+        mapped = [0] * len(tokens)
+        for pos, src in enumerate(seen.index_map):
+            mapped[src] = raw[pos]
+        predictions.append(TagPrediction(tuple(raw), tuple(mapped), degraded))
+    return predictions
+
+
+def predict_tags(model, tokens, lexicon=None) -> TagPrediction:
+    """predict_tags_batch for one question."""
+    return predict_tags_batch(model, [tokens], lexicon)[0]
 
 
 def tag_accuracy(predictions, questions) -> float:
@@ -565,12 +597,18 @@ def entity_phrase(tags, tokens) -> list[str]:
     return list(tokens[best_start : best_start + best_len])
 
 
-def predict_relation(model, tokens, lexicon=None) -> tuple[str, float]:
-    """Most likely relation label and its probability."""
-    tokens = list(tokens)
-    if not tokens:
+def predict_relation_batch(model, token_seqs, lexicon=None) -> list[tuple[str, float]]:
+    """Most likely relation label and its probability, per question."""
+    token_seqs = [list(tokens) for tokens in token_seqs]
+    if not all(token_seqs):
         raise ValueError("cannot classify an empty token sequence")
-    return model.predict_label(_model_input(model, tokens, lexicon).kept_tokens)
+    inputs = [_model_input(model, tokens, lexicon) for tokens in token_seqs]
+    return _model_outputs(model, inputs, False)
+
+
+def predict_relation(model, tokens, lexicon=None) -> tuple[str, float]:
+    """predict_relation_batch for one question."""
+    return predict_relation_batch(model, [tokens], lexicon)[0]
 
 
 def relation_accuracy(labels, questions) -> float:
@@ -621,10 +659,11 @@ def _batch(model, examples):
 def _valid_accuracy(model, questions, lexicon) -> float:
     if not questions:
         return float("nan")
+    token_seqs = [q.tokens for q in questions]
     if model.descriptor.task == "RELATION":
-        labels = [predict_relation(model, q.tokens, lexicon)[0] for q in questions]
+        labels = [label for label, _ in predict_relation_batch(model, token_seqs, lexicon)]
         return relation_accuracy(labels, questions)
-    return tag_accuracy([predict_tags(model, q.tokens, lexicon) for q in questions], questions)
+    return tag_accuracy(predict_tags_batch(model, token_seqs, lexicon), questions)
 
 
 def train(

@@ -98,6 +98,10 @@ class _ParamLayer:
     def zero_grads(self):
         self.grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
 
+    def forget(self):
+        """Drop the activations forward keeps for backward."""
+        self._cache = None
+
 
 class EmbeddingLayer(_ParamLayer):
     """Row lookup into a [vocab, dim] matrix; row 0 is reserved for padding
@@ -109,7 +113,7 @@ class EmbeddingLayer(_ParamLayer):
         super().__init__()
         self.params = {"E": np.asarray(matrix, dtype=np.float64)}
         self.trainable = trainable
-        self._ids = None
+        self._cache = None
 
     def zero_grads(self):
         # skip the (possibly large) grad buffer when frozen
@@ -119,14 +123,14 @@ class EmbeddingLayer(_ParamLayer):
             self.grads = {}
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        self._ids = ids
+        self._cache = ids
         return self.params["E"][ids]
 
     def backward(self, d_out: np.ndarray) -> None:
         if not self.trainable:
             return
         grad = self.grads["E"]
-        np.add.at(grad, self._ids, d_out)
+        np.add.at(grad, self._cache, d_out)
         grad[self.PAD_ROW] = 0.0
 
 
@@ -317,6 +321,10 @@ class BidirectionalLayer:
     def zero_grads(self):
         self.fwd.zero_grads()
         self.bwd.zero_grads()
+
+    def forget(self):
+        self.fwd.forget()
+        self.bwd.forget()
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return np.concatenate(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 TOY_FACTS = (
@@ -77,3 +78,10 @@ def replace_payload(path, payload: bytes) -> None:
     fields = [f if not f.startswith("payload=") else f"payload={len(payload)}"
               for f in head.split(" ")]
     path.write_bytes(f"{' '.join(fields)}\n{rest}".encode("utf-8") + payload)
+
+
+def fix_tagger(model, tag: int) -> None:
+    """Make a neural tagger predict `tag` at every position it reads: the
+    dense head ignores its input and its bias favours `tag`."""
+    model.dense.params["W"][:] = 0.0
+    model.dense.params["b"][:] = np.eye(2)[tag]

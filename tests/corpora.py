@@ -9,6 +9,8 @@ question templates, padded with decorative adverbs/verbs; the noun
 filter strips the decorations, so a filtered tagger sees short,
 low-vocabulary inputs while the unfiltered one must cope with rare
 context words.
+
+save_kb writes a KB back out in the formats load_facts reads.
 """
 
 import numpy as np
@@ -144,3 +146,14 @@ def entity_template_corpus(
             )
         )
     return questions, kb
+
+
+def save_kb(kb: KnowledgeBase, facts_path: str, aliases_path: str) -> None:
+    """Write a KB back out in the load_facts formats (round-trip safe)."""
+    with open(facts_path, "w", encoding="utf-8") as fh:
+        for fact in kb.facts:
+            fh.write(f"{fact.subject}\t{fact.relation}\t{fact.object}\n")
+    with open(aliases_path, "w", encoding="utf-8") as fh:
+        for entity in kb.aliases:
+            for alias in kb.aliases[entity]:
+                fh.write(f"{entity}\t{alias}\n")

@@ -10,8 +10,9 @@ import numpy as np
 
 from kbqa.corpus import Fact, KnowledgeBase
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
-from kbqa.models import predict_relation, predict_tags
+from kbqa.models import TagPrediction
 from kbqa.pipeline import build_structured_query
+from kbqa.textproc import noun_chunk_filter, pos_tag
 
 
 def sigmoid_scalar(v: float) -> float:
@@ -299,6 +300,57 @@ def random_phrase(rng: np.random.Generator, max_len: int = 4):
     return [str(rng.choice(_WORD_POOL)) for _ in range(length)]
 
 
+def _reference_input(model, tokens, lexicon):
+    """(kept tokens, index map, degraded): the noun clusters when the
+    model's descriptor asks for the noun filter, otherwise every token."""
+    if model.descriptor.noun_filter:
+        seen = noun_chunk_filter(tokens, pos_tag(tokens, lexicon))
+        return list(seen.kept_tokens), seen.index_map, seen.degraded
+    return list(tokens), range(len(tokens)), False
+
+
+def predict_tags_reference(model, tokens, lexicon=None) -> TagPrediction:
+    """One question's tags from a forward pass of that question alone."""
+    tokens = list(tokens)
+    kept, index_map, degraded = _reference_input(model, tokens, lexicon)
+    if hasattr(model, "predict_probs"):
+        probs = model.predict_probs([kept])[0]
+        seen = min(len(kept), model.max_len)
+        raw = [int(t) for t in np.argmax(probs[:seen], axis=1)] + [0] * (len(kept) - seen)
+    else:
+        raw = list(model.predict_token_tags(kept))
+    if all(t == 0 for t in raw):
+        raw = [1] * len(kept)
+        degraded = True
+    mapped = [0] * len(tokens)
+    for pos, src in enumerate(index_map):
+        mapped[src] = raw[pos]
+    return TagPrediction(tuple(raw), tuple(mapped), degraded)
+
+
+def predict_relation_reference(model, tokens, lexicon=None) -> tuple[str, float]:
+    """One question's relation from a forward pass of that question alone."""
+    kept, _, _ = _reference_input(model, list(tokens), lexicon)
+    if not hasattr(model, "predict_probs"):
+        return model.predict_label(kept)
+    probs = model.predict_probs([kept])[0]
+    best = int(np.argmax(probs))
+    return model.label_space.labels[best], float(probs[best])
+
+
+def valid_accuracy_reference(model, questions, lexicon) -> float:
+    """models._valid_accuracy with one forward pass per question."""
+    if not questions:
+        return float("nan")
+    if model.descriptor.task == "RELATION":
+        hits = [predict_relation_reference(model, q.tokens, lexicon)[0] == q.gold_relation
+                for q in questions]
+    else:
+        hits = [predict_tags_reference(model, q.tokens, lexicon).mapped_tags == q.gold_tags
+                for q in questions]
+    return sum(hits) / len(questions)
+
+
 def evaluate_reference(
     dataset, entity_index=None, entity_models=None, relation_models=None,
     pipelines=None, lexicon=None, k=50,
@@ -311,7 +363,7 @@ def evaluate_reference(
     for name, model in (entity_models or {}).items():
         q_correct = tok_correct = tok_total = 0
         for q in dataset:
-            pred = predict_tags(model, list(q.tokens), lexicon)
+            pred = predict_tags_reference(model, q.tokens, lexicon)
             q_correct += int(pred.mapped_tags == q.gold_tags)
             tok_correct += sum(int(p == g) for p, g in zip(pred.mapped_tags, q.gold_tags))
             tok_total += len(q.gold_tags)
@@ -319,7 +371,7 @@ def evaluate_reference(
                               ed_token_accuracy=tok_correct / tok_total))
     for name, model in (relation_models or {}).items():
         correct = sum(
-            int(predict_relation(model, list(q.tokens), lexicon)[0] == q.gold_relation)
+            int(predict_relation_reference(model, q.tokens, lexicon)[0] == q.gold_relation)
             for q in dataset
         )
         rows.append(ReportRow(name, rp_accuracy=correct / len(dataset)))

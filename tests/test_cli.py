@@ -329,6 +329,61 @@ def payload_long(path):
     return 1
 
 
+
+class TestCandidateCapBelowOne:
+    """k < 1 is a usage error raised while the options are parsed, before
+    any file is read or anything is printed."""
+
+    def ask(self, indexed, tmp_path, *extra):
+        em, rm = train_toy_models(indexed, tmp_path)
+        return ("ask", "--question", "How old is Tom Hanks?", "--index", str(indexed[3]),
+                "--entity-model", str(em), "--relation-model", str(rm), *extra)
+
+    def eval(self, indexed, tmp_path, *extra, relation_model=True):
+        em, rm = train_toy_models(indexed, tmp_path)
+        models = ("--entity-model", str(em))
+        if relation_model:
+            models += ("--relation-model", str(rm))
+        return ("eval", "--facts", str(indexed[0]), "--aliases", str(indexed[1]),
+                "--questions", str(indexed[2]), "--index", str(indexed[3]), *models,
+                "--ratios", "1.0,0.0,0.0", "--split", "train", *extra)
+
+    def rejected(self, capsys, argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "--k: must be >= 1, got 0" in captured.err
+
+    def test_ask(self, indexed, tmp_path, capsys):
+        self.rejected(capsys, self.ask(indexed, tmp_path, "--k", "0"))
+
+    def test_eval_with_entity_model_only(self, indexed, tmp_path, capsys):
+        self.rejected(capsys, self.eval(indexed, tmp_path, "--k", "0", relation_model=False))
+
+    def test_eval_with_both_models(self, indexed, tmp_path, capsys):
+        self.rejected(capsys, self.eval(indexed, tmp_path, "--k", "0"))
+
+    @pytest.mark.parametrize("verb", ["ask", "eval"])
+    def test_config_key(self, indexed, tmp_path, capsys, verb):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=-3\n")
+        argv = getattr(self, verb)(indexed, tmp_path, "--config", str(cfg))
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}:1: bad value '-3' for key 'k': must be >= 1" in captured.err
+
+    def test_non_integer(self, indexed, tmp_path, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run_cli(*self.ask(indexed, tmp_path, "--k", "many"))
+        assert err.value.code == 2
+        assert "expected an integer, got 'many'" in capsys.readouterr().err
+
 class TestArtifactErrors:
     """A malformed index or model file exits 1 and names the bad line."""
 

@@ -7,10 +7,11 @@ from kbqa.corpus import (
     load_embeddings,
     load_facts,
     load_questions,
-    save_kb,
     split_dataset,
 )
 from kbqa.errors import IntegrityError, ParseError, TaggingError
+
+from corpora import save_kb
 
 
 class TestLoadFacts:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,26 +196,32 @@ class TestOneQuestionPass:
         assert got.to_tsv() == want.to_tsv()
 
     def test_two_forward_passes_per_question(self, monkeypatch):
-        questions, kb = entity_template_corpus(20, seed=6, n_names=8)
-        em, rm = trained_pair("NT_BILSTM1", "BIGRU2", questions)
+        """Each question is in one forward pass of each model, and each model
+        runs once per block of at most 50 questions."""
+        questions, kb = entity_template_corpus(120, seed=6, n_names=8)
+        em, rm = trained_pair("NT_BILSTM1", "BIGRU2", questions[:20])
         calls = []
         original = NeuralSequenceModel.predict_probs
 
         def counted(self, token_seqs):
-            calls.append(self)
+            calls.append((self, len(token_seqs)))
             return original(self, token_seqs)
 
         monkeypatch.setattr(NeuralSequenceModel, "predict_probs", counted)
-        evaluate(
-            questions,
-            build_entity_index(kb),
-            entity_models={"ED": em},
-            relation_models={"RP": rm},
-            pipelines={"pipeline": (em, rm)},
-        )
-        assert calls.count(em) == len(questions)
-        assert calls.count(rm) == len(questions)
-        assert len(calls) == 2 * len(questions)
+        for n in (20, 120):
+            calls.clear()
+            evaluate(
+                questions[:n],
+                build_entity_index(kb),
+                entity_models={"ED": em},
+                relation_models={"RP": rm},
+                pipelines={"pipeline": (em, rm)},
+            )
+            for model in (em, rm):
+                sizes = [size for caller, size in calls if caller is model]
+                assert len(sizes) == math.ceil(n / 50)
+                assert sum(sizes) == n
+            assert len(calls) == 2 * math.ceil(n / 50)
 
 
 class TestBasinHopTune:

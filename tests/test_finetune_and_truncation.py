@@ -12,6 +12,7 @@ from kbqa.models import (
 )
 from kbqa.neural import TrainConfig, grad_check, make_optimizer
 
+from conftest import fix_tagger
 from corpora import trigger_relation_corpus
 
 
@@ -70,10 +71,10 @@ class TestTruncation:
         vocab = [t for q in corpus for t in q.tokens]
         desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=50, noun_filter=False)
         model = build_model(desc, embeddings, None, vocab_tokens=vocab, max_len=4, seed=1)
-        tokens = ["w"] * 9
-        raw = model.predict_token_tags(tokens)
-        assert len(raw) == 9
-        assert all(t == 0 for t in raw[4:])
+        fix_tagger(model, 1)
+        pred = predict_tags(model, ["w"] * 9)
+        assert pred.tags == (1, 1, 1, 1, 0, 0, 0, 0, 0)
+        assert not pred.degraded
 
     def test_training_truncates_targets(self, corpus, embeddings):
         vocab = [t for q in corpus for t in q.tokens]

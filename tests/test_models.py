@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from kbqa import models
 from kbqa.corpus import AnnotatedQuestion, random_embedding_table
 from kbqa.errors import ParseError
 from kbqa.model_io import load_model, save_model
 from kbqa.models import (
+    NEURAL_KINDS,
+    TASKS,
     ArchitectureDescriptor,
     NeuralSequenceModel,
     RelationLabelSpace,
@@ -12,14 +17,24 @@ from kbqa.models import (
     default_descriptor,
     entity_phrase,
     predict_relation,
+    predict_relation_batch,
     predict_tags,
+    predict_tags_batch,
     train,
 )
 from kbqa.neural import TrainConfig, make_optimizer
 from kbqa.textproc import noun_chunk_filter, pos_tag
 
-from conftest import edit_text, first_line, replace_line, replace_payload, split_artifact
+from conftest import (
+    edit_text,
+    first_line,
+    fix_tagger,
+    replace_line,
+    replace_payload,
+    split_artifact,
+)
 from corpora import entity_template_corpus
+from oracles import predict_relation_reference, predict_tags_reference, valid_accuracy_reference
 
 
 def nb_model(data, labels, alpha=1.0):
@@ -127,7 +142,7 @@ class TestPredictTags:
         model = build_model(
             desc, embeddings, None, vocab_tokens=["tom", "hanks"], seed=4
         )
-        model.predict_token_tags = lambda tokens: [1] * len(tokens)
+        fix_tagger(model, 1)
         pred = predict_tags(model, ["how", "old", "is", "tom", "hanks"], {"old": "ADJ"})
         assert pred.tags == (1, 1)
         assert pred.mapped_tags == (0, 0, 0, 1, 1)
@@ -135,7 +150,7 @@ class TestPredictTags:
     def test_all_zero_falls_back_to_all_ones(self, embeddings):
         desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=40, noun_filter=False)
         model = build_model(desc, embeddings, None, vocab_tokens=["tom"], seed=4)
-        model.predict_token_tags = lambda tokens: [0] * len(tokens)
+        fix_tagger(model, 0)
         pred = predict_tags(model, ["tom", "hanks"])
         assert pred.tags == (1, 1)
         assert pred.degraded
@@ -143,7 +158,7 @@ class TestPredictTags:
     def test_filtered_positions_never_tagged(self, embeddings):
         desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=40)
         model = build_model(desc, embeddings, None, vocab_tokens=["tom"], seed=4)
-        model.predict_token_tags = lambda tokens: [1] * len(tokens)
+        fix_tagger(model, 1)
         pred = predict_tags(model, ["is", "tom", "hanks", "running"])
         kept = {i for i, tag in enumerate(pred.mapped_tags) if tag == 1}
         assert 0 not in kept  # "is" is closed-class, filtered
@@ -179,6 +194,151 @@ class TestModelInput:
             for q in questions:
                 predict(model, q.tokens)
             assert sorted(seen) == kept
+
+
+WORDS = ("how", "old", "is", "tom", "hanks", "movie", "born", "city", "x", "y", "zzz")
+MAX_LEN = 6
+
+
+def mixed_questions(n, seed):
+    """n questions of 1 to MAX_LEN + 3 tokens, in random length order."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, MAX_LEN + 4, size=n)
+    lengths[:2] = (1, MAX_LEN + 3)
+    rng.shuffle(lengths)
+    return [[str(w) for w in rng.choice(WORDS, size=int(length))] for length in lengths]
+
+
+def neural_model(kind, task, embeddings, noun_filter=False):
+    labels = RelationLabelSpace(("a", "b", "c")) if task == "RELATION" else None
+    desc = default_descriptor(task, kind, desk_scale=80, noun_filter=noun_filter)
+    return build_model(desc, embeddings, labels, vocab_tokens=WORDS, max_len=MAX_LEN, seed=6)
+
+
+def recorded_batch(model, token_seqs, lexicon=None):
+    """The batched predictions, and every predict_probs call's inputs and rows."""
+    calls = []
+    original = model.predict_probs
+
+    def recording(seqs):
+        probs = original(seqs)
+        calls.append(list(zip(map(list, seqs), probs)))
+        return probs
+
+    model.predict_probs = recording
+    try:
+        if model.descriptor.task == "ENTITY":
+            return predict_tags_batch(model, token_seqs, lexicon), calls
+        return predict_relation_batch(model, token_seqs, lexicon), calls
+    finally:
+        del model.predict_probs
+
+
+NEURAL_CASES = [(kind, task) for kind in NEURAL_KINDS for task in TASKS]
+
+
+class TestBatchedPrediction:
+    """The batched path against one forward pass per question (oracles.py)."""
+
+    def check_parity(self, model, token_seqs, lexicon=None):
+        got, calls = recorded_batch(model, token_seqs, lexicon)
+        assert len(calls) == math.ceil(len(token_seqs) / 50)
+        assert all(len(call) <= 50 for call in calls)
+        for kept, row in (item for call in calls for item in call):
+            alone = model.predict_probs([kept])[0]
+            assert np.abs(row[: len(alone)] - alone).max() <= 1e-12
+        if model.descriptor.task == "ENTITY":
+            assert got == [predict_tags_reference(model, t, lexicon) for t in token_seqs]
+            return got
+        want = [predict_relation_reference(model, t, lexicon) for t in token_seqs]
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert np.abs(np.subtract([p for _, p in got], [p for _, p in want])).max() <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("noun_filter", [False, True])
+    @pytest.mark.parametrize("kind,task", NEURAL_CASES)
+    def test_matches_per_question_forward(self, kind, task, noun_filter, embeddings):
+        model = neural_model(kind, task, embeddings, noun_filter)
+        self.check_parity(model, mixed_questions(120, seed=len(kind)), {"old": "ADJ"})
+
+    @pytest.mark.parametrize("kind", NEURAL_KINDS)
+    def test_all_zero_tagger_falls_back(self, kind, embeddings):
+        model = neural_model(kind, "ENTITY", embeddings, noun_filter=True)
+        fix_tagger(model, 0)
+        got = self.check_parity(model, mixed_questions(60, seed=1))
+        assert all(pred.degraded and set(pred.tags) == {1} for pred in got)
+
+    def test_one_question_is_one_call(self, embeddings):
+        model = neural_model("BILSTM2", "ENTITY", embeddings)
+        (pred,), calls = recorded_batch(model, [["tom", "hanks"]])
+        assert len(calls) == 1
+        assert pred == predict_tags(model, ["tom", "hanks"])
+
+    def test_empty_question_rejected(self, embeddings):
+        model = neural_model("BIGRU2", "RELATION", embeddings)
+        with pytest.raises(ValueError):
+            predict_relation_batch(model, [["x"], []])
+        with pytest.raises(ValueError):
+            predict_tags_batch(neural_model("BILSTM2", "ENTITY", embeddings), [[]])
+
+    @pytest.mark.parametrize("kind,task", NEURAL_CASES)
+    def test_prediction_leaves_no_activations(self, kind, task, embeddings):
+        model = neural_model(kind, task, embeddings)
+        seqs = mixed_questions(37, seed=2)
+        ids, mask = model.encode(seqs)
+        targets = np.zeros(len(seqs), dtype=np.int64) if task == "RELATION" else np.zeros_like(ids)
+        model.loss_and_grads((ids, mask, targets), training=True)
+        assert held_activations(model)  # training keeps them for backward
+        model.predict_probs(seqs)
+        assert held_activations(model) == []
+
+
+def held_activations(model) -> list[str]:
+    """Names of the arrays a layer holds besides its parameters and
+    gradients (activations kept for a backward pass)."""
+    layers = [model.embedding, model.conv, model.dense, *model.drops]
+    layers += [d for layer in model.recurrents for d in (layer.fwd, layer.bwd)]
+    stored = [*model.all_params().values()]
+    stored += [g for layer in layers if layer is not None
+               for g in getattr(layer, "grads", {}).values()]
+    held = []
+    for layer in filter(None, layers):
+        for name, value in vars(layer).items():
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            for item in items:
+                if isinstance(item, np.ndarray) and not any(
+                    np.shares_memory(item, s) for s in stored
+                ):
+                    held.append(f"{type(layer).__name__}.{name}")
+    return held
+
+
+class TestBatchedValidation:
+    @pytest.mark.parametrize("kind", NEURAL_KINDS)
+    def test_trained_file_matches_per_question_validation(self, kind, tmp_path, monkeypatch):
+        """Batched validation picks the same best epoch, so train writes the
+        same bytes as with one forward pass per validation question."""
+        questions, _ = entity_template_corpus(130, seed=8, n_names=10)
+        train_set, valid_set = questions[:70], questions[70:]
+        task = "ENTITY" if "LSTM" in kind else "RELATION"
+        labels = RelationLabelSpace.from_questions(questions)
+        vocab = [t for q in train_set for t in q.tokens]
+        embeddings = random_embedding_table(vocab, 8, seed=2)
+
+        def trained(path):
+            desc = default_descriptor(task, kind, desk_scale=40)
+            model = build_model(desc, embeddings, labels, vocab_tokens=vocab, seed=3)
+            config = TrainConfig(epochs=5, batch_size=8, seed=3)
+            log = train(model, train_set, config, make_optimizer("ADAM_COUPLED", 0.03),
+                        valid_set=valid_set)
+            save_model(model, str(path))
+            return log, path.read_bytes()
+
+        batched = trained(tmp_path / "batched.qam")
+        monkeypatch.setattr(models, "_valid_accuracy", valid_accuracy_reference)
+        reference = trained(tmp_path / "reference.qam")
+        assert len({e.valid_accuracy for e in batched[0]}) > 1
+        assert batched == reference
 
 
 class TestEntityPhrase:

@@ -1,15 +1,22 @@
 """Command-line entry point.
 
 Verbs: build-index, train, eval, ask, gradcheck, tune, benchmark.
-Options may come from a flat key=value config file (--config); explicit
-command-line flags always win.  Exit codes: 0 success, 1 domain error
-(bad data, missing model file), 2 usage error.
+Each option is one row of OPTIONS: the verbs that read it, its help, its
+parser (which owns its range) and its default.  The rows give every verb
+its flags, read_config its keys and parse_args its defaults, so a flag and
+its config key accept the same values.  Options may come from a flat
+key=value config file (--config); explicit command-line flags always win.
+A bad value exits 2 while the command line is parsed, before any data
+file is read.  Exit codes: 0 success, 1 domain error (bad data, missing
+model file), 2 usage error.
 """
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from .corpus import (
     load_embeddings,
@@ -25,6 +32,7 @@ from .gradsuite import run_gradcheck_suite
 from .index import build_entity_index, build_reach_index, load_indexes, save_indexes
 from .model_io import load_model, save_model
 from .models import (
+    BASELINE_KINDS,
     NEURAL_KINDS,
     TASKS,
     RelationLabelSpace,
@@ -37,89 +45,184 @@ from .neural.optim import OPTIMIZER_KINDS, make_optimizer
 from .pipeline import answer, build_structured_query
 from .textproc import load_pos_lexicon
 
-__all__ = ["Command", "main", "parse_args", "run"]
-
-_SPLITS = ("train", "valid", "test", "all")
+__all__ = ["Command", "OPTIONS", "Option", "main", "parse_args", "read_config", "run"]
 
 
-def _choice(options):
-    """Config parser for a value that must be one of options."""
+# -- value parsers: text -> value, or ValueError saying what is wrong ---------
 
-    def parse(value: str) -> str:
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}")
+
+def _number(kind: type, low=None, strict: bool = False, below=None):
+    """Parser for one int or finite float that is >= low (> low if
+    strict) and < below."""
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not math.isfinite(value)):
+            raise ValueError(f"expected {noun}, got {text!r}")
+        if low is not None and (value < low or (strict and value == low)):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value}")
+        if below is not None and value >= below:
+            raise ValueError(f"must be < {below}, got {value}")
         return value
 
     return parse
 
 
-def _at_least_one(value: str) -> int:
-    """Parser for a count that must be >= 1, such as k."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
+_positive = _number(float, 0, strict=True)
+_non_negative = _number(float, 0)
+_rate = _number(float, 0, below=1)
 
 
-def _flag(value: str) -> bool:
-    if value not in ("1", "true", "yes", "0", "false", "no"):
+def _choice(*options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _switch(text: str) -> bool:
+    if text not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError("expected 1/true/yes or 0/false/no")
-    return value in ("1", "true", "yes")
+    return text in ("1", "true", "yes")
 
 
-# typed schema for config-file keys; parsers raise ValueError or
-# ArgumentTypeError on bad input
-_SCHEMA = {
-    "seed": int,
-    "max_len": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "l1_activity": float,
-    "weight_decay": float,
-    "optimizer": _choice(OPTIMIZER_KINDS),
-    "hidden": str,
-    "dropout": str,
-    "ratios": str,
-    "k": _at_least_one,
-    "desk_scale": int,
-    "embedding_dim": int,
-    "alpha": float,
-    "kind": str,
-    "task": _choice(TASKS),
-    "noun_filter": _flag,
-    "freeze_embeddings": _flag,
-    "skip_unmatched": _flag,
-    "budget": int,
-    "tolerance": float,
-    "fd_step": float,
-    "split": _choice(_SPLITS),
+def _listed(item):
+    """Parser for comma-separated values that item accepts, as a tuple."""
+    return lambda text: tuple(item(part) for part in text.split(","))
+
+
+def _ratios(text: str) -> tuple[float, float, float]:
+    """train,valid,test: the rule split_dataset applies."""
+    ratios = _listed(_non_negative)(text)
+    if len(ratios) != 3:
+        raise ValueError(f"expected three comma-separated numbers, got {text!r}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"must sum to 1, got {text!r}")
+    return ratios
+
+
+_KINDS = NEURAL_KINDS + BASELINE_KINDS
+
+
+def _kind(text: str) -> str:
+    kind = text.upper()
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {text!r}")
+    return kind
+
+
+def _kinds(text: str) -> tuple[str, ...]:
+    kinds = tuple(_kind(part.strip()) for part in text.split(",") if part.strip())
+    if len(kinds) < 2:
+        raise ValueError(f"expected at least two model kinds, got {text!r}")
+    return kinds
+
+
+# tune's dimensions; a value follows the rule of the option it sets
+_TUNING = {
+    "learning_rate": _positive,
+    "l1_activity": _non_negative,
+    "dropout": _rate,
+    "hidden_ratio": _positive,
 }
 
-_DEFAULTS = {
-    "seed": 13,
-    "max_len": 36,
-    "epochs": 5,
-    "batch_size": 16,
-    "learning_rate": 0.0007,
-    "l1_activity": 0.0,
-    "weight_decay": 0.0,
-    "optimizer": "ADAM_COUPLED",
-    "ratios": "0.7,0.1,0.2",
-    "k": 50,
-    "desk_scale": 1,
-    "embedding_dim": 50,
-    "alpha": 1.0,
-    "noun_filter": None,
-    "freeze_embeddings": True,
-    "skip_unmatched": False,
-    "budget": 25,
-    "tolerance": 1e-4,
-    "fd_step": 1e-5,
-    "split": "test",
+
+def _dimension(text: str) -> tuple[str, list]:
+    key, sep, values = text.partition("=")
+    if not sep:
+        raise ValueError(f"expected KEY=V1,V2,..., got {text!r}")
+    if key not in _TUNING:
+        raise ValueError(f"unknown tuning dimension {key!r}, expected one of {', '.join(_TUNING)}")
+    return key, list(_listed(_TUNING[key])(values))
+
+
+# -- the option table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option of `qa`.  An option with a parser is also a config key,
+    unless it may be repeated; one without is a path or text, given as a
+    flag only."""
+
+    verbs: tuple[str, ...]
+    help: str
+    parse: Callable[[str], Any] | None = None
+    default: Any = None
+    required: tuple[str, ...] = ()  # verbs that need a value
+    repeat: bool = False  # each use of the flag adds one value to a list
+    # a bad flag value makes main return 2 with `error: --flag: reason`,
+    # where argparse would print its usage and raise SystemExit(2)
+    plain_error: bool = False
+
+    @property
+    def key(self) -> bool:
+        return self.parse is not None and not self.repeat
+
+
+_VERBS = {
+    "build-index": "build and save the retrieval indexes",
+    "train": "train a model and save it",
+    "eval": "evaluate models and write an accuracy report",
+    "ask": "answer one question",
+    "gradcheck": "finite-difference check of every architecture",
+    "tune": "basin-hopping hyper-parameter search",
+    "benchmark": "compare training cost across model kinds",
+}
+_ALL = tuple(_VERBS)
+_DATA = ("train", "eval", "tune", "benchmark")  # verbs that load and split questions
+_FIT = ("train", "tune", "benchmark")  # verbs that train models
+_TRAIN = ("train", "tune")
+_QUERY = ("eval", "ask")  # verbs that query an index
+
+OPTIONS = {
+    "config": Option(_ALL, "flat key=value config file"),
+    "seed": Option(_ALL, "seed of all randomness", _number(int), 13),
+    "facts": Option(("build-index",) + _DATA, "facts file", required=_ALL),
+    "aliases": Option(("build-index",) + _DATA, "aliases file", required=_ALL),
+    "questions": Option(_DATA, "questions file", required=_ALL),
+    "ratios": Option(_DATA, "train,valid,test ratios", _ratios, (0.7, 0.1, 0.2), plain_error=True),
+    "skip_unmatched": Option(_DATA, "drop questions no alias matches", _switch, False),
+    "task": Option(_FIT, "ENTITY or RELATION", _choice(*TASKS), required=_TRAIN),
+    "kind": Option(_TRAIN, ", ".join(_KINDS), _kind, required=_TRAIN, plain_error=True),
+    "hidden": Option(_TRAIN, "layer sizes, comma-separated", _listed(_number(int, 1))),
+    "dropout": Option(_TRAIN, "dropout rates, comma-separated", _listed(_rate)),
+    "desk_scale": Option(_FIT, "divide the hidden sizes by this", _number(int, 1), 1),
+    "noun_filter": Option(_FIT, "feed the model noun-filtered questions", _switch),
+    "max_len": Option(_FIT, "tokens read per question", _number(int, 1), 36),
+    "embeddings": Option(_FIT, "pretrained embedding file"),
+    "embedding_dim": Option(_FIT, "embedding width", _number(int, 1), 50),
+    "lexicon": Option(_DATA + ("ask",), "token<TAB>TAG POS lexicon file"),
+    "epochs": Option(_FIT, "training epochs", _number(int, 0), 5),
+    "batch_size": Option(_FIT, "questions per training step", _number(int, 1), 16),
+    "learning_rate": Option(_FIT, "optimizer step size", _positive, 0.0007),
+    "optimizer": Option(_FIT, ", ".join(OPTIMIZER_KINDS), _choice(*OPTIMIZER_KINDS),
+                        "ADAM_COUPLED"),
+    "weight_decay": Option(_FIT, "Adam weight decay", _non_negative, 0.0),
+    "l1_activity": Option(_FIT, "L1 penalty on activations", _non_negative, 0.0),
+    "alpha": Option(_TRAIN, "Naive Bayes add-alpha smoothing", _positive, 1.0),
+    "freeze_embeddings": Option(_FIT, "keep the embedding table fixed", _switch, True),
+    "out": Option(("build-index", "train"), "output file", required=_ALL),
+    "index": Option(_QUERY, "index file", required=_ALL),
+    "entity_model": Option(_QUERY, "entity model file", required=("ask",)),
+    "relation_model": Option(_QUERY, "relation model file", required=("ask",)),
+    "split": Option(("eval",), "train, valid, test or all",
+                    _choice("train", "valid", "test", "all"), "test"),
+    "k": Option(_QUERY, "entity candidates per question", _number(int, 1), 50),
+    "report_out": Option(("eval",), "prefix for the .txt/.tsv report files"),
+    "question": Option(("ask",), "question text", required=_ALL),
+    "tolerance": Option(("gradcheck",), "largest relative error that passes", _positive, 1e-4),
+    "fd_step": Option(("gradcheck",), "finite-difference step", _positive, 1e-5),
+    "budget": Option(("tune",), "objective evaluations", _number(int, 0), 25),
+    "dim": Option(("tune",), f"KEY=V1,V2,... with KEY one of {', '.join(_TUNING)}", _dimension,
+                  required=_ALL, repeat=True),
+    "kinds": Option(("benchmark",), "model kinds, comma-separated", _kinds, required=_ALL),
 }
 
 
@@ -144,11 +247,12 @@ def read_config(path: str) -> dict:
             value = value.strip()
             if not sep or not key:
                 raise UsageError(f"{path}:{line_no}: expected key=value, got {raw.rstrip()!r}")
-            if key not in _SCHEMA:
+            option = OPTIONS.get(key)
+            if option is None or not option.key:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                values[key] = _SCHEMA[key](value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+                values[key] = option.parse(value)
+            except ValueError as exc:
                 raise UsageError(
                     f"{path}:{line_no}: bad value {value!r} for key {key!r}: {exc}"
                 ) from None
@@ -157,130 +261,54 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _add_data(parser, questions=True):
-    parser.add_argument("--facts", required=True)
-    parser.add_argument("--aliases", required=True)
-    if questions:
-        parser.add_argument("--questions", required=True)
-        parser.add_argument("--ratios", help="train,valid,test split ratios")
-        parser.add_argument("--skip-unmatched", action=argparse.BooleanOptionalAction)
+def _flag_type(name: str, option: Option):
+    def parse(text: str):
+        try:
+            return option.parse(text)
+        except ValueError as exc:
+            if option.plain_error:
+                raise UsageError(f"{_flag(name)}: {exc}") from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _add_model_options(parser):
-    parser.add_argument("--task", choices=TASKS)
-    parser.add_argument("--kind")
-    parser.add_argument("--hidden", help="comma-separated layer sizes")
-    parser.add_argument("--dropout", help="comma-separated dropout rates")
-    parser.add_argument("--desk-scale", type=int)
-    parser.add_argument("--noun-filter", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--max-len", type=int)
-    parser.add_argument("--embeddings", help="pretrained embedding file")
-    parser.add_argument("--embedding-dim", type=int)
-    parser.add_argument("--lexicon", help="token<TAB>TAG POS lexicon file")
-
-
-def _add_train_options(parser):
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS)
-    parser.add_argument("--weight-decay", type=float)
-    parser.add_argument("--l1-activity", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qa", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("build-index", help="build and save the retrieval indexes")
-    _add_common(p)
-    _add_data(p, questions=False)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train", help="train a model and save it")
-    _add_common(p)
-    _add_data(p)
-    _add_model_options(p)
-    _add_train_options(p)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("eval", help="evaluate models and write an accuracy report")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--index", required=True)
-    p.add_argument("--entity-model")
-    p.add_argument("--relation-model")
-    p.add_argument("--lexicon")
-    p.add_argument("--split", choices=_SPLITS)
-    p.add_argument("--k", type=_at_least_one)
-    p.add_argument("--report-out", help="prefix for the .txt/.tsv report files")
-
-    p = sub.add_parser("ask", help="answer one question")
-    _add_common(p)
-    p.add_argument("--question", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--entity-model", required=True)
-    p.add_argument("--relation-model", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--k", type=_at_least_one)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of every architecture")
-    _add_common(p)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--fd-step", type=float)
-
-    p = sub.add_parser("tune", help="basin-hopping hyper-parameter search")
-    _add_common(p)
-    _add_data(p)
-    _add_model_options(p)
-    _add_train_options(p)
-    p.add_argument("--budget", type=int)
-    p.add_argument(
-        "--dim",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        help="tuning dimension (learning_rate, l1_activity, dropout, hidden_ratio)",
-    )
-
-    p = sub.add_parser("benchmark", help="compare training cost across model kinds")
-    _add_common(p)
-    _add_data(p)
-    _add_model_options(p)
-    _add_train_options(p)
-    p.add_argument("--kinds", required=True, help="comma-separated model kinds")
+    verbs = {v: sub.add_parser(v, help=text, allow_abbrev=False) for v, text in _VERBS.items()}
+    for name, option in OPTIONS.items():
+        kwargs = {"help": option.help}
+        if option.parse is _switch:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif option.parse is not None:
+            kwargs.update(type=_flag_type(name, option), action="append" if option.repeat else None)
+        required = () if option.key else option.required
+        for verb in option.verbs:
+            verbs[verb].add_argument(_flag(name), required=verb in required, **kwargs)
     return parser
 
 
 def parse_args(argv) -> Command:
     """Parse argv, merge config-file values (flags win), apply defaults."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "config", None):
-        for key, value in read_config(args.config).items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+    for name, value in vars(args).items():
+        # argparse reads `--flag=--` as an empty list, without the flag's parser
+        if isinstance(value, list) and (not value or [] in value):
+            raise UsageError(f"{_flag(name)}: expected a value")
+    config = read_config(args.config) if args.config else {}
+    for name, option in OPTIONS.items():
+        if args.verb not in option.verbs or getattr(args, name) is not None:
+            continue
+        value = config.get(name, option.default)
+        if value is None and args.verb in option.required:
+            raise UsageError(f"{_flag(name)} is required (flag or config)")
+        setattr(args, name, value)
     return Command(args.verb, args)
-
-
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"ratios must be three comma-separated numbers, got {text!r}")
-    try:
-        ratios = tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"bad ratios {text!r}") from None
-    return ratios
 
 
 def _load_split(opts):
@@ -292,7 +320,7 @@ def _load_split(opts):
     )
     if not questions:
         raise QAError(f"no usable questions in {opts.questions}")
-    split = split_dataset(questions, _parse_ratios(opts.ratios), opts.seed)
+    split = split_dataset(questions, opts.ratios, opts.seed)
     return kb, split
 
 
@@ -303,14 +331,13 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _lexicon_of(opts):
-    lexicon_path = getattr(opts, "lexicon", None)
-    if lexicon_path:
-        return load_pos_lexicon(_require_file(lexicon_path, "lexicon"))
+    if opts.lexicon:
+        return load_pos_lexicon(_require_file(opts.lexicon, "lexicon"))
     return None
 
 
 def _embeddings_of(opts, train_questions):
-    if getattr(opts, "embeddings", None):
+    if opts.embeddings:
         return load_embeddings(
             _require_file(opts.embeddings, "embeddings"), opts.embedding_dim, opts.seed
         )
@@ -318,47 +345,25 @@ def _embeddings_of(opts, train_questions):
     return random_embedding_table(tokens, opts.embedding_dim, opts.seed)
 
 
-def _descriptor_of(opts, hidden_ratio=None, dropout_scalar=None):
-    if not opts.task or not opts.kind:
-        raise UsageError("--task and --kind are required (flag or config)")
-    hidden = None
-    if opts.hidden:
-        try:
-            hidden = tuple(int(h) for h in opts.hidden.split(","))
-        except ValueError:
-            raise UsageError(f"bad --hidden {opts.hidden!r}") from None
-    dropout = None
-    if opts.dropout:
-        try:
-            dropout = tuple(float(r) for r in opts.dropout.split(","))
-        except ValueError:
-            raise UsageError(f"bad --dropout {opts.dropout!r}") from None
+def _descriptor_of(opts, hidden_ratio=None, dropout=None):
+    """The descriptor the options ask for; tune's hidden_ratio sets the
+    first of two layers to that multiple of the second, and its dropout
+    sets every rate."""
     desc = default_descriptor(
         opts.task,
-        opts.kind.upper(),
+        opts.kind,
         desk_scale=opts.desk_scale,
         noun_filter=opts.noun_filter,
-        hidden_sizes=hidden,
-        dropout_rates=dropout,
+        hidden_sizes=opts.hidden,
+        dropout_rates=opts.dropout,
     )
-    if hidden_ratio is not None and len(desc.hidden_sizes) == 2:
-        base = desc.hidden_sizes[1]
-        desc = default_descriptor(
-            opts.task,
-            opts.kind.upper(),
-            noun_filter=opts.noun_filter,
-            hidden_sizes=(max(1, round(hidden_ratio * base)), base),
-            dropout_rates=desc.dropout_rates,
-        )
-    if dropout_scalar is not None:
-        desc = default_descriptor(
-            opts.task,
-            opts.kind.upper(),
-            noun_filter=opts.noun_filter,
-            hidden_sizes=desc.hidden_sizes,
-            dropout_rates=tuple(dropout_scalar for _ in desc.dropout_rates),
-        )
-    return desc
+    hidden = desc.hidden_sizes
+    if hidden_ratio is not None and len(hidden) == 2:
+        hidden = (max(1, round(hidden_ratio * hidden[1])), hidden[1])
+    rates = desc.dropout_rates
+    if dropout is not None:
+        rates = tuple(dropout for _ in rates)
+    return replace(desc, hidden_sizes=hidden, dropout_rates=rates)
 
 
 def _train_config(opts, l1_override=None) -> TrainConfig:
@@ -369,6 +374,14 @@ def _train_config(opts, l1_override=None) -> TrainConfig:
         l1_activity=opts.l1_activity if l1_override is None else l1_override,
         seed=opts.seed,
         freeze_embeddings=opts.freeze_embeddings,
+    )
+
+
+def _optimizer(opts, learning_rate=None):
+    return make_optimizer(
+        opts.optimizer,
+        learning_rate if learning_rate is not None else opts.learning_rate,
+        **({} if opts.optimizer == "SGD" else {"weight_decay": opts.weight_decay}),
     )
 
 
@@ -392,11 +405,7 @@ def _build_and_train(opts, split, lexicon, descriptor=None, config=None, learnin
         alpha=opts.alpha,
     )
     config = config if config is not None else _train_config(opts)
-    optimizer = make_optimizer(
-        opts.optimizer,
-        learning_rate if learning_rate is not None else opts.learning_rate,
-        **({} if opts.optimizer == "SGD" else {"weight_decay": opts.weight_decay}),
-    )
+    optimizer = _optimizer(opts, learning_rate)
     log = train(model, split.train, config, optimizer, valid_set=split.valid, lexicon=lexicon)
     return model, log
 
@@ -513,25 +522,13 @@ def run(command: Command) -> int:
         if not split.valid:
             raise QAError("tuning needs a non-empty validation split")
         lexicon = _lexicon_of(opts)
-        space = {}
-        for dim in opts.dim:
-            key, sep, values = dim.partition("=")
-            if not sep:
-                raise UsageError(f"bad --dim {dim!r}, expected KEY=V1,V2,...")
-            if key not in ("learning_rate", "l1_activity", "dropout", "hidden_ratio"):
-                raise UsageError(f"unknown tuning dimension {key!r}")
-            try:
-                space[key] = [float(v) for v in values.split(",")]
-            except ValueError:
-                raise UsageError(f"bad values in --dim {dim!r}") from None
-        if not space:
-            raise UsageError("tune needs at least one --dim")
+        space = dict(opts.dim)
 
         def objective(cfg):
             desc = _descriptor_of(
                 opts,
                 hidden_ratio=cfg.get("hidden_ratio"),
-                dropout_scalar=cfg.get("dropout"),
+                dropout=cfg.get("dropout"),
             )
             config = _train_config(opts, l1_override=cfg.get("l1_activity"))
             _, log = _build_and_train(
@@ -554,9 +551,6 @@ def run(command: Command) -> int:
     if verb == "benchmark":
         _, split = _load_split(opts)
         lexicon = _lexicon_of(opts)
-        kinds = [k.strip().upper() for k in opts.kinds.split(",") if k.strip()]
-        if len(kinds) < 2:
-            raise UsageError("benchmark needs at least 2 kinds")
         descriptors = [
             default_descriptor(
                 opts.task or "RELATION",
@@ -564,7 +558,7 @@ def run(command: Command) -> int:
                 desk_scale=opts.desk_scale,
                 noun_filter=opts.noun_filter,
             )
-            for kind in kinds
+            for kind in opts.kinds
         ]
         label_space = RelationLabelSpace.from_questions(split.train)
         embeddings = _embeddings_of(opts, split.train)
@@ -574,7 +568,7 @@ def run(command: Command) -> int:
             _train_config(opts),
             embeddings,
             label_space,
-            lambda: make_optimizer(opts.optimizer, opts.learning_rate),
+            lambda: _optimizer(opts),
             lexicon=lexicon,
         )
         print(report.to_text(), end="")

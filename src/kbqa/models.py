@@ -109,6 +109,8 @@ def default_descriptor(
     """Descriptor with per-kind defaults; desk_scale divides hidden sizes
     (preserving their ratios) so full architectures shrink to test scale.
     CONV_GRU gets 50 filters of width 2."""
+    if desk_scale < 1:
+        raise ValueError(f"desk_scale must be >= 1, got {desk_scale}")
     if kind in BASELINE_KINDS:
         return ArchitectureDescriptor(task, kind, noun_filter=bool(noun_filter))
     if kind not in _NEURAL_DEFAULTS:

@@ -43,6 +43,8 @@ class GradCheckReport:
 
 def grad_check(model, example, h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare model.loss_and_grads against central finite differences."""
+    if h <= 0 or tolerance <= 0:
+        raise ValueError(f"h and tolerance must be > 0, got h={h}, tolerance={tolerance}")
     params = model.trainable_params()
     _, analytic = model.loss_and_grads(example)
     loss_fn = getattr(model, "loss", None)

@@ -1,8 +1,11 @@
+import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kbqa import cli
 from kbqa.cli import main, parse_args, read_config
 
 from conftest import edit_text, first_line, replace_line, replace_payload, split_artifact
@@ -586,3 +589,127 @@ class TestTuneAndBenchmark:
         assert code == 0
         assert "CONV_GRU" in out and "BIGRU2" in out
         assert "about 40%" in out
+
+
+def exit_code(*argv):
+    """main's exit code; argparse reports a bad flag by raising SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+MISSING = ("--facts", "missing/facts.tsv", "--aliases", "missing/aliases.tsv",
+           "--questions", "missing/questions.tsv")
+VERB_ARGS = {
+    "train": ("train", *MISSING, "--task", "RELATION", "--kind", "BIGRU2", "--out", "m.qam"),
+    "tune": ("tune", *MISSING, "--task", "RELATION", "--kind", "BIGRU2",
+             "--dim", "learning_rate=0.01"),
+    "benchmark": ("benchmark", *MISSING, "--kinds", "CONV_GRU,BIGRU2"),
+    "gradcheck": ("gradcheck",),
+}
+
+
+class TestBadValueBeforeAnyFile:
+    """Every bad value exits 2 while the command line is parsed: the data
+    files named here do not exist, and reading one would exit 1."""
+
+    # (verb, flag, value, config line or None, what stderr says)
+    DEFECTS = [
+        ("train", "--desk-scale", "0", "desk_scale=0", "must be >= 1, got 0"),
+        ("benchmark", "--desk-scale", "0", "desk_scale=0", "must be >= 1, got 0"),
+        ("tune", "--desk-scale", "0", "desk_scale=0", "must be >= 1, got 0"),
+        ("gradcheck", "--fd-step", "0", "fd_step=0", "must be > 0, got 0.0"),
+        ("train", "--desk-scale", "-3", "desk_scale=-3", "must be >= 1, got -3"),
+        ("train", "--hidden", "0,3", "hidden=0,3", "must be >= 1, got 0"),
+        ("gradcheck", "--fd-step", "-1", "fd_step=-1", "must be > 0, got -1.0"),
+        ("gradcheck", "--tolerance", "-1", "tolerance=-1", "must be > 0, got -1.0"),
+        ("train", "--embedding-dim", "0", "embedding_dim=0", "must be >= 1, got 0"),
+        ("train", "--epochs", "-1", "epochs=-1", "must be >= 0, got -1"),
+        ("train", "--kind", "bogus", "kind=bogus", "unknown model kind 'bogus'"),
+        ("tune", "--dim", "foo=1", None, "unknown tuning dimension 'foo'"),
+        ("tune", "--dim", "learning_rate=0", None, "must be > 0, got 0.0"),
+        ("train", "--dropout", "0.1,1", "dropout=0.1,1", "must be < 1, got 1.0"),
+        ("train", "--ratios", "0.5,0.2,0.2", "ratios=0.5,0.2,0.2", "must sum to 1"),
+        ("benchmark", "--kinds", "CONV_GRU,TRANSFORMER", None, "unknown model kind 'TRANSFORMER'"),
+    ]
+
+    def check(self, capsys, argv, reason):
+        capsys.readouterr()
+        assert exit_code(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert reason in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("verb, flag, value, line, reason", DEFECTS)
+    def test_flag(self, capsys, verb, flag, value, line, reason):
+        err = self.check(capsys, VERB_ARGS[verb] + (flag, value), reason)
+        assert flag in err
+
+    @pytest.mark.parametrize("verb, flag, value, line, reason",
+                             [d for d in DEFECTS if d[3] is not None])
+    def test_config_key(self, capsys, tmp_path, verb, flag, value, line, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# one bad value\n{line}\n")
+        argv = VERB_ARGS[verb] + ("--config", str(cfg))
+        self.check(capsys, argv, f"{cfg}:2: bad value {value!r} for key ")
+
+    @pytest.mark.parametrize("flag, value", [("--kind", "BIGRU2"), ("--hidden", "4"),
+                                             ("--dropout", "0.1"), ("--alpha", "2")])
+    def test_benchmark_drops_flags_it_ignored(self, capsys, flag, value):
+        self.check(capsys, VERB_ARGS["benchmark"] + (flag, value), f"unrecognized arguments: {flag}")
+
+    @pytest.mark.parametrize("verb", ["train", "tune", "benchmark"])
+    def test_valid_values_reach_the_files(self, capsys, verb):
+        """The same command lines with good values read the data and exit 1."""
+        capsys.readouterr()
+        assert exit_code(*VERB_ARGS[verb]) == 1
+        assert "facts file not found: missing/facts.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("train", *MISSING, "--kind", "BIGRU2", "--out", "m.qam"), "--task is required"),
+        (("train", *MISSING, "--task", "RELATION", "--out", "m.qam"), "--kind is required"),
+        (("tune", *MISSING, "--task", "RELATION", "--kind", "BIGRU2"), "required: --dim"),
+        (("benchmark", *MISSING), "--kinds is required"),
+    ])
+    def test_missing_value(self, capsys, argv, reason):
+        self.check(capsys, argv, reason)
+
+
+def test_benchmark_weight_decay_reaches_the_optimizer(toy_files, monkeypatch):
+    def benchmark_training(*args, **kwargs):
+        optimizers.append(args[5]())
+        return SimpleNamespace(to_text=lambda: "")
+
+    optimizers = []
+    monkeypatch.setattr(cli, "benchmark_training", benchmark_training)
+    facts, aliases, questions = toy_files
+    assert main(["benchmark", "--facts", str(facts), "--aliases", str(aliases),
+                 "--questions", str(questions), "--kinds", "CONV_GRU,BIGRU2",
+                 "--optimizer", "ADAM_DECOUPLED", "--weight-decay", "0.25"]) == 0
+    assert optimizers[0].kind == "ADAM_DECOUPLED"
+    assert optimizers[0].weight_decay == 0.25
+
+
+def readme_walkthrough():
+    """The README's data/toy commands, and the output it says the last prints."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## CLI walkthrough", 1)[1]
+    script = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    printed = section.split("prints\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(c) for c in script.replace("\\\n", " ").split("\n\n")]
+    return commands, printed
+
+
+def test_readme_walkthrough(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parents[1])
+    commands, printed = readme_walkthrough()
+    assert [c[:2] for c in commands] == [["qa", "build-index"], ["qa", "train"],
+                                         ["qa", "train"], ["qa", "ask"]]
+    for argv in commands:
+        capsys.readouterr()
+        assert main([a.replace("/tmp/", f"{tmp_path}/") for a in argv[1:]]) == 0
+    assert capsys.readouterr().out == printed
+    assert "score: 2.3655156698609248\n" in printed

@@ -88,6 +88,12 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             ArchitectureDescriptor("ENTITY", "TRANSFORMER")
 
+    @pytest.mark.parametrize("kind", ["BIGRU2", "MAJORITY"])
+    @pytest.mark.parametrize("desk_scale", [0, -3])
+    def test_desk_scale_below_one(self, kind, desk_scale):
+        with pytest.raises(ValueError, match="desk_scale must be >= 1"):
+            default_descriptor("RELATION", kind, desk_scale=desk_scale)
+
 
 class TestBuildModel:
     def test_conv_filter_shape(self, embeddings):

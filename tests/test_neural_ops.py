@@ -15,6 +15,7 @@ from kbqa.neural import (
     DropoutLayer,
     RecurrentDirection,
 )
+from kbqa.neural.gradcheck import grad_check
 from kbqa.neural.layers import cross_entropy, softmax
 
 from oracles import conv1d_scalar, scalar_sequence
@@ -273,3 +274,11 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             DropoutLayer(1.0)
+
+
+class TestGradCheckArguments:
+    @pytest.mark.parametrize("h, tolerance", [(0.0, 1e-4), (-1e-5, 1e-4), (1e-5, 0.0), (1e-5, -1.0)])
+    def test_step_and_tolerance_must_be_positive(self, h, tolerance):
+        model, batch = build_check_model(suite_architectures()[1], seed=0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            grad_check(model, batch, h, tolerance)

@@ -1,14 +1,15 @@
-"""The one framing of the artifact formats, `QAMODEL 2` and `QAIDX 2`.
+"""The one framing of the artifact formats, `QAMODEL 2` and `QAIDX 3`.
 
 An artifact is a UTF-8 text header with "\\n" line ends, then a raw
 payload.  Its first line reads `MAGIC VERSION payload=N key=value ...`.
 The lines after it are a run of sections, each a header line `NAME
 field ...` followed by the rows it counts; a `PARAM name ndim size ...`
 header declares an array and has no rows.  The last N bytes of the file
-are the declared arrays' values as little-endian float64, in header
-order.  The file is read as bytes, once; only the text is decoded, and
-the payload must be exactly as long as the declared arrays.  Every
-defect raises ParseError(path, line).  `text_lines` and `undecodable`
+are the declared arrays' values in header order, each little-endian
+float64 or, where its format says so, little-endian int32.  The file is
+read as bytes, once; only the text is decoded, and the payload must be
+exactly as long as the declared arrays.  Every defect raises
+ParseError(path, line).  `text_lines` and `undecodable`
 serve the plain-text data files.
 """
 
@@ -97,7 +98,7 @@ class Artifact:
         self.fields = dict(f.partition("=")[::2] for f in fields)  # line 1's key=value pairs
         self.pos = 1  # index of the next unread line
         self.start = 1  # index of the last section's first row
-        self.shapes: list[tuple[int, ...]] = []  # of the payload's arrays
+        self.declared: list[tuple[tuple[int, ...], str]] = []  # shape, dtype of each array
 
     def done(self) -> bool:
         return self.pos == len(self.lines)
@@ -134,37 +135,38 @@ class Artifact:
         self.pos += n
         return self.lines[self.start : self.pos]
 
-    def shape(self, fields: list[str]) -> tuple[int, ...]:
+    def shape(self, fields: list[str], dtype: str = "<f8") -> tuple[int, ...]:
         """The shape that the last header's `ndim size ...` fields give
-        the next array of the payload."""
-        ndim, *sizes = self.counts(fields)
-        if ndim != len(sizes):
-            raise self.error(f"{ndim} dims, {len(sizes)} sizes")
-        self.shapes.append(tuple(sizes))
-        return self.shapes[-1]
+        the next array of the payload, whose values are of dtype."""
+        counts = self.counts(fields)
+        if not counts or counts[0] != len(counts) - 1:
+            raise self.error(f"expected `ndim size ...` in header {self.lines[self.pos - 1]!r}")
+        self.declared.append((tuple(counts[1:]), dtype))
+        return self.declared[-1][0]
 
     def arrays(self) -> list[np.ndarray]:
         """The declared arrays as read-only views of the payload, in
         header order.  The payload must hold exactly them."""
-        sizes = [math.prod(s) for s in self.shapes]
-        if 8 * sum(sizes) != len(self.payload):
+        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in self.declared]
+        if sum(nbytes) != len(self.payload):
             raise ParseError(self.path, 1, f"payload={len(self.payload)}, but the headers "
-                             f"declare {8 * sum(sizes)} bytes")
-        flat = np.frombuffer(self.payload, "<f8")
+                             f"declare {sum(nbytes)} bytes")
         out, at = [], 0
-        for shape, size in zip(self.shapes, sizes):
-            out.append(flat[at : at + size].reshape(shape))
-            at += size
+        for (shape, dtype), n in zip(self.declared, nbytes):
+            out.append(np.frombuffer(self.payload, dtype, math.prod(shape), at).reshape(shape))
+            at += n
         return out
 
 
 def write_artifact(path: str, magic: str, lines: list[str], arrays: list[np.ndarray]) -> None:
     """Write an artifact: the line `{magic}payload=N {lines[0]}`,
-    the other lines, then the arrays as N bytes of little-endian float64,
-    in order, so the bytes are the same on any host."""
-    size = 8 * sum(a.size for a in arrays)
+    the other lines, then the arrays as N bytes, in order: int32 arrays as
+    little-endian int32 and all others as little-endian float64, so the
+    bytes are the same on any host."""
+    dtypes = ["<i4" if a.dtype.kind == "i" and a.dtype.itemsize == 4 else "<f8" for a in arrays]
+    size = sum(a.size * np.dtype(t).itemsize for a, t in zip(arrays, dtypes))
     text = "\n".join([f"{magic}payload={size} {lines[0]}", *lines[1:]]) + "\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for a, dtype in zip(arrays, dtypes):
+            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())

@@ -424,7 +424,7 @@ def run(command: Command) -> int:
         reach_index = build_reach_index(kb)
         save_indexes(entity_index, reach_index, opts.out)
         print(f"indexed {entity_index.alias_count} aliases, "
-              f"{sum(len(v) for v in reach_index.edges.values())} facts -> {opts.out}")
+              f"{len(reach_index.relations)} facts -> {opts.out}")
         return 0
 
     if verb == "train":
@@ -443,6 +443,8 @@ def run(command: Command) -> int:
         return 0
 
     if verb == "eval":
+        if not (opts.entity_model or opts.relation_model):
+            raise UsageError("eval needs --entity-model and/or --relation-model")
         _, split = _load_split(opts)
         dataset = {
             "train": split.train,
@@ -465,8 +467,6 @@ def run(command: Command) -> int:
             relation_models[rm.descriptor.kind] = rm
         if opts.entity_model and opts.relation_model:
             pipelines["pipeline"] = (em, rm)
-        if not entity_models and not relation_models:
-            raise UsageError("eval needs --entity-model and/or --relation-model")
         report = evaluate(
             dataset,
             entity_index,

@@ -10,9 +10,10 @@ import numpy as np
 
 from kbqa.corpus import Fact, KnowledgeBase
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
+from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet
 from kbqa.models import TagPrediction
 from kbqa.pipeline import build_structured_query
-from kbqa.textproc import noun_chunk_filter, pos_tag
+from kbqa.textproc import ngrams, noun_chunk_filter, pos_tag
 
 
 def sigmoid_scalar(v: float) -> float:
@@ -248,6 +249,28 @@ def brute_answer(kb: KnowledgeBase, phrase_tokens, relation: str, k: int):
             if fact.subject == entity and fact.relation == relation:
                 return fact.object, fact, score
     return None
+
+
+def query_entity_index_reference(idx, phrase_tokens, k: int) -> CandidateSet:
+    """index.query_entity_index as a loop over the postings' rows: each
+    entity's score starts at 0.0 and adds its weight for every n-gram of
+    the phrase, in n-gram order."""
+    scores: dict[str, float] = {}
+    for gram in ngrams(list(phrase_tokens), MAX_NGRAM):
+        for entity, weight in idx.postings.get(gram, ()):
+            scores[entity] = scores.get(entity, 0.0) + weight
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return CandidateSet(tuple(ranked[:k]), k)
+
+
+def query_reach_reference(idx, candidates: CandidateSet, relation: str) -> list[AnswerCandidate]:
+    """index.query_reach as a loop over each candidate's edges."""
+    out = []
+    for entity, score in candidates.candidates:
+        for rel, obj in idx.edges.get(entity, ()):
+            if rel == relation:
+                out.append(AnswerCandidate(entity, rel, obj, score))
+    return out
 
 
 # -- random KB generation ------------------------------------------------------

@@ -1,5 +1,5 @@
 """Model and index files: byte-stable round trips, committed files that
-pin the QAMODEL 2 and QAIDX 2 layouts, and any damage to a file either
+pin the QAMODEL 2 and QAIDX 3 layouts, and any damage to a file either
 leaves a usable artifact or raises ParseError."""
 
 import os
@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kbqa.corpus import load_facts, load_questions, random_embedding_table
 from kbqa.errors import ParseError
 from kbqa.index import (
+    MAX_NGRAM,
     build_entity_index,
     build_reach_index,
     load_indexes,
@@ -30,6 +31,7 @@ from kbqa.models import (
     train,
 )
 from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.textproc import ngrams
 
 QUESTION = ["how", "old", "is", "tom", "hanks"]
 
@@ -113,7 +115,7 @@ def test_golden_model_saves_to_the_same_bytes(tmp_path):
         assert path.read_bytes() == fh.read()
 
 
-# Both indexes of data/toy, written by `qa build-index` when QAIDX 2 was
+# Both indexes of data/toy, written by `qa build-index` when QAIDX 3 was
 # introduced.
 GOLDEN_INDEX = os.path.join(os.path.dirname(__file__), "golden", "toy.qaidx")
 
@@ -136,11 +138,19 @@ def test_golden_index_saves_to_the_same_bytes(tmp_path):
         assert path.read_bytes() == fh.read()
 
 
+# every n-gram of the toy aliases, and one that no alias has
+TOY_GRAMS = sorted({gram for alias in ("tom hanks", "hanks", "tom cruise", "jane hanks")
+                    for gram in ngrams(alias.split(" "), MAX_NGRAM)}) + ["zzz"]
+
+
 def use(path: str) -> None:
-    """Load an artifact and run it once."""
+    """Load an artifact and run it: an index answers every toy n-gram."""
     if path.endswith(".qaidx"):
         entity_index, reach_index = load_indexes(path)
-        query_reach(reach_index, query_entity_index(entity_index, ["tom", "hanks"], 5), "bornOn")
+        for phrase in [["tom", "hanks"]] + [gram.split(" ") for gram in TOY_GRAMS]:
+            candidates = query_entity_index(entity_index, phrase, 5)
+            for relation in ("bornOn", "starredIn", "wrote"):
+                query_reach(reach_index, candidates, relation)
         return
     model = load_model(path)
     if model.descriptor.task == "ENTITY":

@@ -286,29 +286,77 @@ def train_nt_bilstm1(toy, tmp_path):
     return path
 
 
+def edit_array(path, name, edit):
+    """Replace the index array `name` by edit(a copy of it), and declare
+    its new size; the number of its PARAM line."""
+    text, payload = split_artifact(path)
+    lines, arrays, at = text.split("\n"), [], 0
+    for i, line in enumerate(lines):
+        if line.startswith("PARAM "):
+            param, size = line.split(" ")[1], int(line.split(" ")[3])
+            dtype = "<f8" if param == "weights" else "<i4"
+            array = np.frombuffer(payload, dtype, size, at).copy()
+            at += array.nbytes
+            if param == name:
+                array, line_no = np.asarray(edit(array), dtype), i + 1
+                lines[i] = f"PARAM {name} 1 {len(array)}"
+            arrays.append(array)
+    data = b"".join(a.tobytes() for a in arrays)
+    lines[0] = " ".join(f"payload={len(data)}" if f.startswith("payload=") else f
+                        for f in lines[0].split(" "))
+    path.write_bytes("\n".join(lines).encode("utf-8") + data)
+    return line_no
+
+
+def set_values(name, values):
+    """A corruption that sets array `name` to values {place: value}."""
+    def corrupt(path):
+        def edit(a):
+            a[list(values)] = list(values.values())
+            return a
+        return edit_array(path, name, edit)
+
+    corrupt.__name__ = f"{name}_" + "_".join(f"{at}_{v}" for at, v in values.items())
+    return corrupt
+
+
+def edit_rows(section, edit):
+    """A corruption that replaces a section's rows by edit(rows)."""
+    def corrupt(path):
+        line_no = first_line(path, f"{section} ")
+        n = int(split_artifact(path)[0].split("\n")[line_no - 1].split(" ")[1])
+        def change(text):
+            lines = text.split("\n")
+            lines[line_no : line_no + n] = edit(lines[line_no : line_no + n])
+            return "\n".join(lines)
+        edit_text(path, change)
+        return line_no
+
+    return corrupt
+
+
 def keep_header_only(path):
-    path.write_text("QAIDX 2 payload=0 aliases=4\n")
+    path.write_text("QAIDX 3 payload=0 aliases=4\n")
     return 2
 
 
 def cut_posting(path):
-    """A posting row with its n-gram but no entity."""
-    line_no = first_line(path, "POSTINGS ") + 3
-    replace_line(path, line_no, lambda line: line.split("\t")[0])
+    """A posting row with its n-gram but no entity: the one posting of
+    "jane", row 2, is dropped."""
+    line_no = edit_array(path, "offsets", lambda o: np.concatenate([o[:3], o[3:] - 1]))
+    for name in ("entities", "weights"):
+        edit_array(path, name, lambda a: np.delete(a, 3))
     return line_no
 
 
 def bad_weight(path):
     """One weight fewer than the postings hold, in PARAM and payload alike."""
-    line_no = first_line(path, "PARAM weight ")
-    replace_line(path, line_no, lambda line: f"PARAM weight 1 {int(line.split(' ')[3]) - 1}")
-    replace_payload(path, split_artifact(path)[1][:-8])
-    return line_no
+    return edit_array(path, "weights", lambda weights: weights[:-1])
 
 
 def param_without_shape(path):
-    line_no = first_line(path, "PARAM weight ")
-    replace_line(path, line_no, lambda line: "PARAM weight")
+    line_no = first_line(path, "PARAM weights ")
+    replace_line(path, line_no, lambda line: "PARAM weights")
     return line_no
 
 
@@ -322,6 +370,11 @@ def qaidx_1(path):
     return 1
 
 
+def qaidx_2(path):
+    path.write_text("QAIDX 2 payload=0 aliases=4\nPARAM weight 1 0\nPOSTINGS 0\nEDGES 0\n")
+    return 1
+
+
 def payload_short(path):
     replace_payload(path, split_artifact(path)[1][:-1])
     return 1
@@ -331,6 +384,55 @@ def payload_long(path):
     replace_payload(path, split_artifact(path)[1] + b"\0")
     return 1
 
+
+def swap_first_two(rows):
+    return [rows[1], rows[0], *rows[2:]]
+
+
+def repeat_first(rows):
+    return [rows[0], rows[0], *rows[2:]]
+
+
+def unsorted_names(path):
+    return edit_rows("NAMES", swap_first_two)(path)
+
+
+def duplicate_names(path):
+    return edit_rows("NAMES", repeat_first)(path)
+
+
+def unsorted_grams(path):
+    return edit_rows("POSTINGS", swap_first_two)(path)
+
+
+def duplicate_grams(path):
+    return edit_rows("POSTINGS", repeat_first)(path)
+
+
+def unsorted_relations(path):
+    return edit_rows("RELATIONS", swap_first_two)(path)
+
+
+# (what is wrong) -> corruption, each found at its array's PARAM line
+ARRAY_DEFECTS = [
+    set_values("offsets", {0: 1}),  # does not start at 0
+    set_values("offsets", {7: 10}),  # ends past the entities
+    set_values("offsets", {7: 8}),  # ends before them
+    set_values("offsets", {2: 0}),  # falls
+    set_values("offsets", {2: 1}),  # an empty row
+    set_values("entities", {0: 3}),  # rank out of range
+    set_values("entities", {0: -1}),
+    set_values("entities", {1: 2, 2: 0}),  # the row of "hanks", e1 e3, falls
+    set_values("weights", {0: float("nan")}),
+    set_values("weights", {0: float("inf")}),
+    set_values("weights", {0: 0.0}),
+    set_values("weights", {0: -1.0}),
+    set_values("edge_offsets", {0: 1}),
+    set_values("edge_offsets", {3: 5}),
+    set_values("edge_offsets", {2: 1}),  # falls
+    set_values("relations", {0: 2}),  # id out of range
+    set_values("relations", {0: -1}),
+]
 
 
 class TestCandidateCapBelowOne:
@@ -398,7 +500,9 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize(
         "corrupt", [keep_header_only, cut_posting, bad_weight, param_without_shape,
-                    bad_alias_count, qaidx_1, payload_short, payload_long]
+                    bad_alias_count, qaidx_1, qaidx_2, payload_short, payload_long,
+                    unsorted_names, duplicate_names, unsorted_grams, duplicate_grams,
+                    unsorted_relations, *ARRAY_DEFECTS]
     )
     def test_bad_index(self, indexed, tmp_path, capsys, corrupt):
         em, rm = train_toy_models(indexed, tmp_path)
@@ -407,6 +511,15 @@ class TestArtifactErrors:
         capsys.readouterr()
         assert self.ask(index, em, rm) == 1
         assert f"{index}:{line_no}: " in capsys.readouterr().err
+
+    def test_old_index_names_its_version(self, indexed, tmp_path, capsys):
+        em, rm = train_toy_models(indexed, tmp_path)
+        qaidx_2(indexed[3])
+        capsys.readouterr()
+        assert self.ask(indexed[3], em, rm) == 1
+        err = capsys.readouterr().err
+        assert f"{indexed[3]}:1: QAIDX 2 files are not read" in err
+        assert "rebuild the index" in err
 
     def test_truncated_model(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
@@ -676,6 +789,15 @@ class TestBadValueBeforeAnyFile:
     ])
     def test_missing_value(self, capsys, argv, reason):
         self.check(capsys, argv, reason)
+
+    @pytest.mark.parametrize("data", ["missing", "data/toy"])
+    def test_eval_without_models(self, capsys, monkeypatch, data):
+        """Neither model: exit 2 before the data files (which exist in
+        data/toy, but give an empty test split) or the index are read."""
+        monkeypatch.chdir(Path(__file__).parents[1])
+        argv = ("eval", "--facts", f"{data}/facts.tsv", "--aliases", f"{data}/aliases.tsv",
+                "--questions", f"{data}/questions.tsv", "--index", "missing/toy.qaidx")
+        self.check(capsys, argv, "eval needs --entity-model and/or --relation-model")
 
 
 def test_benchmark_weight_decay_reaches_the_optimizer(toy_files, monkeypatch):

@@ -17,7 +17,14 @@ from kbqa.index import (
 )
 from kbqa.textproc import ngrams
 
-from oracles import brute_answer, brute_rank, random_kb, random_phrase
+from oracles import (
+    brute_answer,
+    brute_rank,
+    query_entity_index_reference,
+    query_reach_reference,
+    random_kb,
+    random_phrase,
+)
 
 
 def kb_of(aliases: dict, facts=()) -> KnowledgeBase:
@@ -116,6 +123,52 @@ class TestQueryEntityIndex:
             assert list(got) == brute_rank(kb, phrase, 10)
 
 
+class TestMatchesReference:
+    """The array queries give candidates and answers repr-equal to the
+    loops over the postings and edges."""
+
+    def check(self, kb, phrase, relation, k, indexes=None):
+        entity_idx, reach_idx = indexes or (build_entity_index(kb), build_reach_index(kb))
+        got = query_entity_index(entity_idx, phrase, k)
+        want = query_entity_index_reference(entity_idx, phrase, k)
+        assert repr(got) == repr(want)
+        assert repr(query_reach(reach_idx, got, relation)) == repr(
+            query_reach_reference(reach_idx, want, relation))
+        return got.candidates
+
+    def test_random_kbs(self):
+        """The 200 KBs of acceptance criterion 2, each with its phrase, the
+        phrase twice over (repeated n-grams), with an absent n-gram, alone
+        absent, and its first token (a single n-gram), at k = 1, 10, 50."""
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            kb = random_kb(rng, max_aliases=100, max_facts=300)
+            phrase = random_phrase(rng)
+            relation = str(rng.choice(["bornOn", "starredIn", "wrote", "livedIn"]))
+            indexes = build_entity_index(kb), build_reach_index(kb)
+            for variant in (phrase, phrase + phrase, phrase + ["zzz"], ["zzz"], phrase[:1]):
+                for k in (1, 10, 50):
+                    self.check(kb, variant, relation, k, indexes)
+
+    def test_repeated_ngram_counts_twice(self):
+        once = dict(self.check(THREE_ALIAS_KB, ["tom"], "bornOn", 5))
+        twice = dict(self.check(THREE_ALIAS_KB, ["tom", "tom"], "bornOn", 5))
+        assert twice == {entity: score + score for entity, score in once.items()}
+
+    def test_absent_ngrams_score_nothing(self):
+        assert self.check(THREE_ALIAS_KB, ["zzz", "yyy"], "bornOn", 5) == ()
+        assert self.check(THREE_ALIAS_KB, ["zzz", "hanks"], "bornOn", 5) == \
+            self.check(THREE_ALIAS_KB, ["hanks"], "bornOn", 5)
+
+    def test_ties_break_by_name(self):
+        kb = kb_of({"e2": ("tom",), "e10": ("tom",), "e1": ("tom",)},
+                   facts=[("e2", "bornOn", "x"), ("e1", "bornOn", "y"), ("e10", "bornOn", "z")])
+        got = self.check(kb, ["tom"], "bornOn", 3)
+        assert [entity for entity, _ in got] == ["e1", "e10", "e2"]
+        assert len({score for _, score in got}) == 1
+        assert self.check(kb, ["tom", "tom"], "bornOn", 1)[0][0] == "e1"
+
+
 class TestReachIndex:
     def test_grouping(self):
         kb = kb_of(
@@ -186,6 +239,16 @@ class TestSerialization:
             a = query_entity_index(entity_idx, phrase, k=10)
             b = query_entity_index(loaded_entity, phrase, k=10)
             assert a == b
+
+    def test_loaded_indexes_equal_the_built_ones(self, tmp_path):
+        kb = random_kb(np.random.default_rng(11), max_aliases=40, max_facts=80)
+        built = (build_entity_index(kb), build_reach_index(kb))
+        save_indexes(*built, str(tmp_path / "kb.qaidx"))
+        loaded = load_indexes(str(tmp_path / "kb.qaidx"))
+        assert (built == loaded) is True
+        other = build_entity_index(random_kb(np.random.default_rng(12), max_aliases=40))
+        assert (loaded[0] == other) is False
+        assert (loaded[0] == loaded[1]) is False
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(3)

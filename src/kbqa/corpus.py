@@ -99,7 +99,7 @@ def _read_fields(path: str, n_fields: int):
             raise ParseError(
                 path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
             )
-        if any(not f for f in fields):
+        if "" in fields:
             raise ParseError(path, line_no, "empty field")
         yield line_no, fields
 
@@ -110,16 +110,16 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
         Fact(s, r, o) for _, (s, r, o) in _read_fields(facts_path, 3)
     )
 
-    aliases: dict[str, list[str]] = {}
+    aliases: dict[str, tuple[str, ...]] = {}
     for line_no, (entity, alias_text) in _read_fields(aliases_path, 2):
         normalized = " ".join(tokenize(alias_text))
         if not normalized:
             raise ParseError(
                 aliases_path, line_no, f"alias for {entity!r} is empty after normalization"
             )
-        bucket = aliases.setdefault(entity, [])
+        bucket = aliases.get(entity, ())
         if normalized not in bucket:
-            bucket.append(normalized)
+            aliases[entity] = (*bucket, normalized)
 
     if any(fact.subject not in aliases for fact in facts):
         # only this error path reads the file again, for the fact's line
@@ -129,7 +129,7 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
         raise IntegrityError(
             f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
         )
-    return KnowledgeBase(facts, {e: tuple(a) for e, a in aliases.items()})
+    return KnowledgeBase(facts, aliases)
 
 
 def derive_gold_tags(tokens: list[str] | tuple[str, ...], aliases) -> list[int]:

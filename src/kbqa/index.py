@@ -11,6 +11,15 @@ keeps one posting per (n-gram, entity).  Query scoring sums those
 weights over the phrase's n-grams, so multi-gram overlap is rewarded
 while duplicated aliases cannot inflate a single gram's contribution.
 
+The build makes one pass over the documents in rank order and appends
+each one's n-grams to one flat stream; it keeps no container per
+document.  The rest is numpy: every occurrence becomes the id of its
+n-gram in sorted order, `np.unique` over (n-gram, document) keys counts
+each pair, `np.bincount` gives df, idf is `math.log` once per distinct
+df, and `np.maximum.reduceat` keeps each entity's best weight.  These
+are the IEEE operations a loop over dicts performs, so the arrays, and
+the saved file, are bit-identical to that loop's.
+
 Both indexes are flat sequences over one sorted list of entity names, so
 an entity's rank is its place in name order.  The postings of grams[g]
 are the entity ranks entities[offsets[g]:offsets[g + 1]], strictly
@@ -42,9 +51,7 @@ within a row, weights that are not finite and positive.  `QAIDX 1` and
 
 import math
 import operator
-from collections import Counter
 from collections.abc import Mapping
-from itertools import accumulate, chain
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -202,36 +209,38 @@ def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
     """Index every (entity, alias) document by its 1..3-grams with TF-IDF
     weights, keeping each entity's best weight per n-gram."""
     names = _names(kb)
-    documents = [
-        (rank, Counter(ngrams(alias.split(" "), MAX_NGRAM)))
-        for rank, entity in enumerate(names)
-        for alias in kb.aliases.get(entity, ())
-    ]
-    if not documents:
+    stream: list[str] = []  # every document's n-grams, document after document
+    sizes: list[int] = []  # n-grams per document
+    ranks: list[int] = []  # entity rank per document
+    for rank, entity in enumerate(names):
+        for alias in kb.aliases.get(entity, ()):
+            grams = ngrams(alias.split(" "), MAX_NGRAM)
+            stream += grams
+            sizes.append(len(grams))
+            ranks.append(rank)
+    n_docs = len(sizes)
+    if not n_docs:
         raise IntegrityError("cannot build an entity index from a KB with no aliases")
 
-    n_docs = len(documents)
-    df: dict[str, int] = {}
-    for _, counts in documents:
-        for gram in counts:
-            df[gram] = df.get(gram, 0) + 1
+    grams = sorted(set(stream))
+    gram_of = np.fromiter(map(_positions(grams).__getitem__, stream), np.int64, len(stream))
+    doc_of = np.repeat(np.arange(n_docs), sizes)
+    # one (n-gram, document) pair per distinct key, n-gram major
+    pairs, counts = np.unique(gram_of * n_docs + doc_of, return_counts=True)
+    gram, doc = np.divmod(pairs, n_docs)
+    dfs, df_row = np.unique(np.bincount(gram, minlength=len(grams)), return_inverse=True)
+    idf = np.array([math.log((1 + n_docs) / (1 + df)) + 1.0 for df in dfs.tolist()])
+    weights = (counts / np.array(sizes)[doc]) * idf[df_row][gram]
 
-    # documents come in rank order, so each row's keys rise
-    best: dict[str, dict[int, float]] = {}
-    for rank, counts in documents:
-        total = sum(counts.values())
-        for gram, count in counts.items():
-            weight = (count / total) * (math.log((1 + n_docs) / (1 + df[gram])) + 1.0)
-            row = best.setdefault(gram, {})
-            if weight > row.get(rank, 0.0):
-                row[rank] = weight
-
-    grams = sorted(best)
-    rows = [best[gram] for gram in grams]
-    offsets = np.cumsum([0, *map(len, rows)]).astype(np.int32)
-    entities = np.fromiter(chain.from_iterable(rows), np.int32, offsets[-1])
-    weights = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, offsets[-1])
-    return EntityIndex(names, grams, offsets, entities, weights, n_docs)
+    # documents come in rank order, so the pairs are sorted by (n-gram, rank)
+    # and each run of equal pairs is one posting
+    rank = np.array(ranks)[doc]
+    first = np.ones(len(pairs), bool)
+    first[1:] = (gram[1:] != gram[:-1]) | (rank[1:] != rank[:-1])
+    starts = np.flatnonzero(first)
+    offsets = np.searchsorted(gram[starts], np.arange(len(grams) + 1)).astype(np.int32)
+    return EntityIndex(names, grams, offsets, rank[starts].astype(np.int32),
+                       np.maximum.reduceat(weights, starts), n_docs)
 
 
 def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
@@ -268,11 +277,11 @@ def build_reach_index(kb: KnowledgeBase) -> ReachIndex:
     rank = _positions(names)
     relation_names = sorted({fact.relation for fact in kb.facts})
     relation_id = _positions(relation_names)
-    subjects = [rank[fact.subject] for fact in kb.facts]
+    subjects = np.array([rank[fact.subject] for fact in kb.facts], np.int64)
     # a stable sort keeps each subject's facts in source order
-    facts = [kb.facts[i] for i in sorted(range(len(subjects)), key=subjects.__getitem__)]
-    counts = Counter(subjects)
-    return ReachIndex(names, [0, *accumulate(counts[r] for r in range(len(names)))],
+    facts = [kb.facts[i] for i in np.argsort(subjects, kind="stable").tolist()]
+    counts = np.bincount(subjects, minlength=len(names))
+    return ReachIndex(names, [0, *np.cumsum(counts).tolist()],
                       relation_names, [relation_id[fact.relation] for fact in facts],
                       [fact.object for fact in facts])
 

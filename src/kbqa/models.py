@@ -547,14 +547,24 @@ def _model_outputs(model, inputs, tagger: bool) -> list:
     return outputs
 
 
+def _model_inputs(model, token_seqs, lexicon) -> list[FilterResult]:
+    """_model_input per question; every question must have tokens."""
+    if not all(token_seqs):
+        verb = "classify" if model.descriptor.task == "RELATION" else "tag"
+        raise ValueError(f"cannot {verb} an empty token sequence")
+    return [_model_input(model, tokens, lexicon) for tokens in token_seqs]
+
+
 def predict_tags_batch(model, token_seqs, lexicon=None) -> list[TagPrediction]:
     """Tag each question, applying noun-cluster filtering when the model's
     descriptor asks for it and falling back to all-ones on an all-zero
     prediction."""
     token_seqs = [list(tokens) for tokens in token_seqs]
-    if not all(token_seqs):
-        raise ValueError("cannot tag an empty token sequence")
-    inputs = [_model_input(model, tokens, lexicon) for tokens in token_seqs]
+    return _tag_predictions(model, token_seqs, _model_inputs(model, token_seqs, lexicon))
+
+
+def _tag_predictions(model, token_seqs, inputs) -> list[TagPrediction]:
+    """predict_tags_batch from the questions' model inputs."""
     predictions = []
     for tokens, seen, raw in zip(token_seqs, inputs, _model_outputs(model, inputs, True)):
         degraded = seen.degraded
@@ -602,10 +612,7 @@ def entity_phrase(tags, tokens) -> list[str]:
 def predict_relation_batch(model, token_seqs, lexicon=None) -> list[tuple[str, float]]:
     """Most likely relation label and its probability, per question."""
     token_seqs = [list(tokens) for tokens in token_seqs]
-    if not all(token_seqs):
-        raise ValueError("cannot classify an empty token sequence")
-    inputs = [_model_input(model, tokens, lexicon) for tokens in token_seqs]
-    return _model_outputs(model, inputs, False)
+    return _model_outputs(model, _model_inputs(model, token_seqs, lexicon), False)
 
 
 def predict_relation(model, tokens, lexicon=None) -> tuple[str, float]:
@@ -658,14 +665,15 @@ def _batch(model, examples):
     return ids, mask, targets
 
 
-def _valid_accuracy(model, questions, lexicon) -> float:
+def _valid_accuracy(model, questions, inputs) -> float:
+    """Accuracy on the validation questions, from their model inputs."""
     if not questions:
         return float("nan")
-    token_seqs = [q.tokens for q in questions]
     if model.descriptor.task == "RELATION":
-        labels = [label for label, _ in predict_relation_batch(model, token_seqs, lexicon)]
+        labels = [label for label, _ in _model_outputs(model, inputs, False)]
         return relation_accuracy(labels, questions)
-    return tag_accuracy(predict_tags_batch(model, token_seqs, lexicon), questions)
+    return tag_accuracy(_tag_predictions(model, [q.tokens for q in questions], inputs),
+                        questions)
 
 
 def train(
@@ -696,6 +704,7 @@ def train(
         model.embedding.trainable = True
 
     examples = _examples(model, train_set, lexicon)
+    valid_inputs = _model_inputs(model, [q.tokens for q in valid_set], lexicon)
     shuffle_rng = rng_for(config.seed, "shuffle")
     n = len(examples)
     log: list[EpochStats] = []
@@ -710,7 +719,7 @@ def train(
             loss, grads = model.loss_and_grads(batch, training=True)
             optimizer.step(model.trainable_params(), grads)
             total_loss += loss * len(indices)
-        val_acc = _valid_accuracy(model, valid_set, lexicon)
+        val_acc = _valid_accuracy(model, valid_set, valid_inputs)
         log.append(EpochStats(epoch, total_loss / n, val_acc))
         if valid_set and val_acc > best_acc:
             best_acc = val_acc

@@ -88,6 +88,9 @@ def tokenize(text: str) -> list[str]:
     """
     tokens = []
     for piece in text.lower().split():
+        if piece.isalnum():
+            tokens.append(piece)
+            continue
         start = 0
         end = len(piece)
         while start < end and not piece[start].isalnum():

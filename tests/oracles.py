@@ -5,12 +5,16 @@ no shared index structures) so oracle agreement is meaningful.
 """
 
 import math
+from collections import Counter
+from itertools import accumulate, chain
 
 import numpy as np
 
+from kbqa.artifact import text_lines
 from kbqa.corpus import Fact, KnowledgeBase
+from kbqa.errors import IntegrityError, ParseError
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
-from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet
+from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet, EntityIndex, ReachIndex
 from kbqa.models import TagPrediction
 from kbqa.pipeline import build_structured_query
 from kbqa.textproc import ngrams, noun_chunk_filter, pos_tag
@@ -194,7 +198,119 @@ def recurrent_reference(kind, params, x, mask, reverse, d_out):
     return out, dx, grads
 
 
+# -- ingestion references ------------------------------------------------------
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """textproc.tokenize with the per-character strip loop run on every piece."""
+    tokens = []
+    for piece in text.lower().split():
+        start = 0
+        end = len(piece)
+        while start < end and not piece[start].isalnum():
+            start += 1
+        while end > start and not piece[end - 1].isalnum():
+            end -= 1
+        if end > start:
+            tokens.append(piece[start:end])
+    return tokens
+
+
+def _read_fields_reference(path: str, n_fields: int):
+    for line_no, raw in text_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        if any(not f for f in fields):
+            raise ParseError(path, line_no, "empty field")
+        yield line_no, fields
+
+
+def load_facts_reference(facts_path: str, aliases_path: str) -> KnowledgeBase:
+    """corpus.load_facts with a generator test for empty fields and
+    tokenize_reference."""
+    facts = tuple(Fact(s, r, o) for _, (s, r, o) in _read_fields_reference(facts_path, 3))
+    aliases: dict[str, list[str]] = {}
+    for line_no, (entity, alias_text) in _read_fields_reference(aliases_path, 2):
+        normalized = " ".join(tokenize_reference(alias_text))
+        if not normalized:
+            raise ParseError(
+                aliases_path, line_no, f"alias for {entity!r} is empty after normalization"
+            )
+        bucket = aliases.setdefault(entity, [])
+        if normalized not in bucket:
+            bucket.append(normalized)
+    for line_no, (subject, _, _) in _read_fields_reference(facts_path, 3):
+        if subject not in aliases:
+            raise IntegrityError(
+                f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
+            )
+    return KnowledgeBase(facts, {e: tuple(a) for e, a in aliases.items()})
+
+
 # -- retrieval oracles ---------------------------------------------------------
+
+
+def _names_reference(kb: KnowledgeBase) -> list[str]:
+    return sorted(set(kb.aliases).union(fact.subject for fact in kb.facts))
+
+
+def build_entity_index_reference(kb: KnowledgeBase) -> EntityIndex:
+    """index.build_entity_index as loops over one Counter per document and
+    one dict of entity ranks per n-gram."""
+    names = _names_reference(kb)
+    documents = [
+        (rank, Counter(ngrams(alias.split(" "), MAX_NGRAM)))
+        for rank, entity in enumerate(names)
+        for alias in kb.aliases.get(entity, ())
+    ]
+    if not documents:
+        raise IntegrityError("cannot build an entity index from a KB with no aliases")
+
+    n_docs = len(documents)
+    df: dict[str, int] = {}
+    for _, counts in documents:
+        for gram in counts:
+            df[gram] = df.get(gram, 0) + 1
+
+    # documents come in rank order, so each row's keys rise
+    best: dict[str, dict[int, float]] = {}
+    for rank, counts in documents:
+        total = sum(counts.values())
+        for gram, count in counts.items():
+            weight = (count / total) * (math.log((1 + n_docs) / (1 + df[gram])) + 1.0)
+            row = best.setdefault(gram, {})
+            if weight > row.get(rank, 0.0):
+                row[rank] = weight
+
+    grams = sorted(best)
+    rows = [best[gram] for gram in grams]
+    offsets = np.cumsum([0, *map(len, rows)]).astype(np.int32)
+    entities = np.fromiter(chain.from_iterable(rows), np.int32, offsets[-1])
+    weights = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, offsets[-1])
+    return EntityIndex(names, grams, offsets, entities, weights, n_docs)
+
+
+def build_reach_index_reference(kb: KnowledgeBase) -> ReachIndex:
+    """index.build_reach_index with a stable sort of the fact positions by
+    subject rank and a Counter per subject."""
+    names = _names_reference(kb)
+    rank = dict(zip(names, range(len(names))))
+    relation_names = sorted({fact.relation for fact in kb.facts})
+    relation_id = dict(zip(relation_names, range(len(relation_names))))
+    subjects = [rank[fact.subject] for fact in kb.facts]
+    facts = [kb.facts[i] for i in sorted(range(len(subjects)), key=subjects.__getitem__)]
+    counts = Counter(subjects)
+    return ReachIndex(names, [0, *accumulate(counts[r] for r in range(len(names)))],
+                      relation_names, [relation_id[fact.relation] for fact in facts],
+                      [fact.object for fact in facts])
+
+
 
 
 def _ngrams_list(tokens, max_n=3):

@@ -138,6 +138,15 @@ def test_golden_index_saves_to_the_same_bytes(tmp_path):
         assert path.read_bytes() == fh.read()
 
 
+def test_golden_index_is_what_data_toy_builds(tmp_path):
+    toy = os.path.join(os.path.dirname(__file__), os.pardir, "data", "toy")
+    kb = load_facts(os.path.join(toy, "facts.tsv"), os.path.join(toy, "aliases.tsv"))
+    path = tmp_path / "built.qaidx"
+    save_indexes(build_entity_index(kb), build_reach_index(kb), str(path))
+    with open(GOLDEN_INDEX, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
 # every n-gram of the toy aliases, and one that no alias has
 TOY_GRAMS = sorted({gram for alias in ("tom hanks", "hanks", "tom cruise", "jane hanks")
                     for gram in ngrams(alias.split(" "), MAX_NGRAM)}) + ["zzz"]

@@ -1,3 +1,6 @@
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +15,9 @@ from kbqa.corpus import (
 from kbqa.errors import IntegrityError, ParseError, TaggingError
 
 from corpora import save_kb
+from oracles import load_facts_reference
+
+TOY = os.path.join(os.path.dirname(__file__), os.pardir, "data", "toy")
 
 
 class TestLoadFacts:
@@ -42,6 +48,20 @@ class TestLoadFacts:
         with pytest.raises(ParseError) as err:
             load_facts(str(facts), str(aliases))
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("facts_text,aliases_text,bad,line_no", [
+        ("\tbornOn\t1956\n", "e1\tTom\n", "f.tsv", 1),
+        ("e1\t\t1956\n", "e1\tTom\n", "f.tsv", 1),
+        ("e1\tbornOn\t\n", "e1\tTom\n", "f.tsv", 1),
+        ("e1\tbornOn\t1956\n", "e1\tTom\n\tTom\n", "a.tsv", 2),
+        ("e1\tbornOn\t1956\n", "e1\t\n", "a.tsv", 1),
+    ])
+    def test_empty_field_is_parse_error(self, tmp_path, facts_text, aliases_text, bad, line_no):
+        (tmp_path / "f.tsv").write_text(facts_text)
+        (tmp_path / "a.tsv").write_text(aliases_text)
+        with pytest.raises(ParseError, match="empty field") as err:
+            load_facts(str(tmp_path / "f.tsv"), str(tmp_path / "a.tsv"))
+        assert (err.value.path, err.value.line_no) == (str(tmp_path / bad), line_no)
 
     def test_subject_without_alias(self, tmp_path):
         facts = tmp_path / "f.tsv"
@@ -76,6 +96,59 @@ class TestLoadFacts:
         assert {e: set(a) for e, a in reloaded.aliases.items()} == {
             e: set(a) for e, a in toy_kb.aliases.items()
         }
+
+
+def damaged(data: bytes, values=b"\t\n\r x-\x00\xff"):
+    """(kind, first damaged line, bytes) for every single-byte set, insert
+    and delete of data, with each of values, and every truncation."""
+    for i in range(len(data) + 1):
+        line = data.count(b"\n", 0, i) + 1
+        if i < len(data):
+            yield from (("set", line, data[:i] + bytes([v]) + data[i + 1 :])
+                        for v in values if v != data[i])
+            yield "delete", line, data[:i] + data[i + 1 :]
+        yield from (("insert", line, data[:i] + bytes([v]) + data[i:]) for v in values)
+        yield "truncate", line, data[:i]
+
+
+def load_outcome(load, facts, aliases):
+    """The KB a loader returns, or the ParseError or IntegrityError it raises."""
+    try:
+        kb = load(facts, aliases)
+    except (ParseError, IntegrityError) as exc:
+        return exc
+    return kb.facts, list(kb.aliases.items())
+
+
+@pytest.mark.parametrize("target", ["facts.tsv", "aliases.tsv"])
+def test_damaged_toy_file_loads_as_before_or_names_its_line(tmp_path, target):
+    """Each damaged copy of a toy data file loads to the KB the reference
+    loader returns, or raises the reference's ParseError at or after the
+    first damaged line, or (a fact subject left with no alias) its
+    IntegrityError; no other exception escapes."""
+    paths = {name: str(tmp_path / name) for name in ("facts.tsv", "aliases.tsv")}
+    for name, path in paths.items():
+        with open(os.path.join(TOY, name), "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+    with open(paths[target], "rb") as fh:
+        original = fh.read()
+    seen = Counter()
+    for kind, line, data in damaged(original):
+        with open(paths[target], "wb") as fh:
+            fh.write(data)
+        got = load_outcome(load_facts, paths["facts.tsv"], paths["aliases.tsv"])
+        want = load_outcome(load_facts_reference, paths["facts.tsv"], paths["aliases.tsv"])
+        case = (kind, line, data)
+        if isinstance(got, ParseError):
+            assert got.path == paths[target] and got.line_no >= line, case
+        elif isinstance(got, IntegrityError):
+            assert "has no alias" in str(got), case
+        assert type(got) is type(want) and repr(got) == repr(want), case
+        seen[kind, type(got).__name__] += 1
+    assert sum(seen.values()) > 800
+    for kind in ("set", "insert", "delete", "truncate"):
+        assert seen[kind, "tuple"] and seen[kind, "ParseError"], seen
+    assert seen["set", "IntegrityError"], seen
 
 
 class TestDeriveGoldTags:

@@ -20,6 +20,8 @@ from kbqa.textproc import ngrams
 from oracles import (
     brute_answer,
     brute_rank,
+    build_entity_index_reference,
+    build_reach_index_reference,
     query_entity_index_reference,
     query_reach_reference,
     random_kb,
@@ -89,6 +91,70 @@ class TestBuildEntityIndex:
         idx = build_entity_index(kb)
         idf = math.log(4 / 4) + 1
         assert idx.postings["york"] == (("e1", (1 / 3) * idf), ("e2", 1.0 * idf))
+
+
+class TestBuildsMatchReference:
+    """Both builds give exactly the indexes of the dict loops in
+    tests/oracles.py: equal lists, and arrays equal in dtype and bytes."""
+
+    def check(self, kb):
+        got, want = build_entity_index(kb), build_entity_index_reference(kb)
+        assert (got.names, got.grams, got.alias_count) == (want.names, want.grams,
+                                                           want.alias_count)
+        for name in ("offsets", "entities", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        got, want = build_reach_index(kb), build_reach_index_reference(kb)
+        for name in ("names", "offsets", "relation_names", "relations", "objects"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+    def test_random_kbs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            self.check(random_kb(rng, max_aliases=100, max_facts=300))
+
+    def test_ngram_repeated_inside_an_alias(self):
+        kb = kb_of({"e1": ("new york new york",), "e2": ("new york",), "e3": ("york",)})
+        self.check(kb)
+        # "new york" is 2 of the 9 n-grams of "new york new york"
+        idf = math.log(4 / 3) + 1
+        assert dict(build_entity_index(kb).postings["new york"])["e1"] == (2 / 9) * idf
+
+    def test_idf_is_math_log_per_df(self):
+        """20 documents and a df of 19: numpy's vectorised log rounds
+        ln(21 / 20) differently from math.log on some hosts, and idf must
+        be math.log's."""
+        self.check(kb_of({f"e{i:02}": (f"tom x{i}",) for i in range(19)} | {"zed": ("zed",)}))
+
+    def test_alias_shared_by_two_entities(self):
+        self.check(kb_of({"e1": ("tom hanks", "tom"), "e2": ("tom hanks",)},
+                         facts=[("e2", "bornOn", "1956")]))
+
+    def test_one_token_and_long_aliases(self):
+        self.check(kb_of({"e1": ("a",), "e2": ("a b c d",), "e3": ("b c d e f g", "a")}))
+
+    def test_entity_with_aliases_but_no_facts(self):
+        kb = kb_of({"e1": ("tom",), "e2": ("tim",), "e3": ("tam",)},
+                   facts=[("e2", "bornOn", "x")])
+        self.check(kb)
+        assert build_reach_index(kb).offsets == [0, 0, 1, 1]
+
+    def test_facts_of_an_entity_without_aliases(self):
+        self.check(kb_of({"e2": ("tom",), "e1": ()},
+                         facts=[("e1", "r", "x"), ("e3", "s", "y"), ("e1", "s", "z")]))
+
+    def test_non_ascii_tokens(self):
+        self.check(kb_of({"é": ("zoë ångström",), "e": ("ångström", "日本 東京 大阪 京都"),
+                          "e\u0301": ("zoe\u0301", "zoë"), "a": ("\U0001f600 x",)}))
+
+    @pytest.mark.parametrize("aliases", [{}, {"e1": ()}])
+    def test_no_alias_is_an_integrity_error(self, aliases):
+        kb = kb_of(aliases, facts=[("e1", "r", "x")])
+        for build in (build_entity_index, build_entity_index_reference):
+            with pytest.raises(IntegrityError):
+                build(kb)
+        assert repr(build_reach_index(kb)) == repr(build_reach_index_reference(kb))
+
 
 class TestQueryEntityIndex:
     def test_bigram_match_wins(self):

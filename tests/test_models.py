@@ -341,10 +341,32 @@ class TestBatchedValidation:
             return log, path.read_bytes()
 
         batched = trained(tmp_path / "batched.qam")
-        monkeypatch.setattr(models, "_valid_accuracy", valid_accuracy_reference)
+        monkeypatch.setattr(models, "_valid_accuracy", lambda model, questions, _inputs:
+                            valid_accuracy_reference(model, questions, None))
         reference = trained(tmp_path / "reference.qam")
         assert len({e.valid_accuracy for e in batched[0]}) > 1
         assert batched == reference
+
+    def test_validation_inputs_are_prepared_once_per_call(self, monkeypatch):
+        """The noun filter sees each training and each validation question
+        once per train call, not once per epoch."""
+        questions, _ = entity_template_corpus(300, seed=8, n_names=10)
+        train_set, valid_set = questions[:200], questions[200:]
+        vocab = [t for q in train_set for t in q.tokens]
+        model = build_model(default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=40),
+                            random_embedding_table(vocab, 8, seed=2), None,
+                            vocab_tokens=vocab, seed=3)
+        calls = []
+
+        def counted(tokens, tags):
+            calls.append(len(tokens))
+            return noun_chunk_filter(tokens, tags)
+
+        monkeypatch.setattr(models, "noun_chunk_filter", counted)
+        log = train(model, train_set, TrainConfig(epochs=5, batch_size=50, seed=3),
+                    make_optimizer("ADAM_COUPLED", 0.03), valid_set=valid_set)
+        assert len(log) == 5
+        assert len(calls) == 300
 
 
 class TestEntityPhrase:

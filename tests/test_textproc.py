@@ -10,6 +10,8 @@ from kbqa.textproc import (
     tokenize,
 )
 
+from oracles import tokenize_reference
+
 
 class TestTokenize:
     def test_question(self):
@@ -31,6 +33,14 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.text(st.one_of(st.characters(categories=["L", "N", "Mn", "Mc", "Me", "P", "S"]),
+                             st.sampled_from("'-’ \t\n\u00a0")), max_size=60))
+    def test_matches_reference(self, text):
+        """Letters, digits, combining marks, apostrophes, hyphens and
+        punctuation: pieces that are whole alphanumerics skip the strip
+        loop, and the tokens are unchanged."""
+        assert tokenize(text) == tokenize_reference(text)
 
     @given(st.text(max_size=60))
     def test_tokens_are_clean(self, text):

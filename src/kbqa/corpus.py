@@ -13,6 +13,7 @@ then lexicographically smaller alias, so ingestion is deterministic.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class KnowledgeBase:
 
     facts: tuple[Fact, ...]
     aliases: dict[str, tuple[str, ...]]
+
+    @cached_property
+    def entities(self) -> list[str]:
+        """Every entity with an alias or a fact, in name order (a KB never changes)."""
+        return sorted(set(self.aliases).union(fact.subject for fact in self.facts))
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,8 @@ def build_check_model(desc: ArchitectureDescriptor, seed: int) -> tuple[NeuralSe
     matrix[0] = 0.0
     vocab = {f"w{i}": i + 2 for i in range(_CHECK_VOCAB - 2)}
     labels = RelationLabelSpace(("r0", "r1", "r2")) if desc.task == "RELATION" else None
-    model = NeuralSequenceModel(
-        desc,
-        vocab,
-        matrix,
-        labels,
-        max_len=_CHECK_T,
-        seed=seed,
-        freeze_embeddings=True,
-        init_scale=_CHECK_SCALE,
-    )
+    model = NeuralSequenceModel.fresh(desc, vocab, matrix, labels, max_len=_CHECK_T, seed=seed,
+                                      init_scale=_CHECK_SCALE)
     if model.conv is not None:
         # keep conv units alive: finite differences are meaningless across
         # ReLU kinks, and dead channels produce exactly-zero gradient rows

@@ -200,15 +200,10 @@ class AnswerCandidate:
     score: float
 
 
-def _names(kb: KnowledgeBase) -> list[str]:
-    """Every entity of the KB in name order: the ranks both indexes share."""
-    return sorted(set(kb.aliases).union(fact.subject for fact in kb.facts))
-
-
 def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
     """Index every (entity, alias) document by its 1..3-grams with TF-IDF
     weights, keeping each entity's best weight per n-gram."""
-    names = _names(kb)
+    names = kb.entities  # the ranks both indexes share
     stream: list[str] = []  # every document's n-grams, document after document
     sizes: list[int] = []  # n-grams per document
     ranks: list[int] = []  # entity rank per document
@@ -273,7 +268,7 @@ def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
 
 def build_reach_index(kb: KnowledgeBase) -> ReachIndex:
     """Group facts by subject, preserving input order (duplicates retained)."""
-    names = _names(kb)
+    names = kb.entities
     rank = _positions(names)
     relation_names = sorted({fact.relation for fact in kb.facts})
     relation_id = _positions(relation_names)

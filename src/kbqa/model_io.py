@@ -3,11 +3,12 @@ float64 payload, framed by `artifact`.
 
 The first line is `QAMODEL 2 payload=N` and the architecture descriptor
 as key=value pairs.  VOCAB and LABELS sections follow where the kind has
-them, then one `PARAM name ndim size ...` line per stored array, in
-`_stored_arrays` order.  The payload holds those arrays' values as N
-bytes of little-endian float64, in the same order, so files round-trip
-bit-exactly and identical runs write identical bytes.  The all-text
-`QAMODEL 1` files are not read: such a model must be trained again.
+them, then one `PARAM name ndim size ...` line per stored array (a neural
+model's param_layout).  The payload holds those arrays' values as N
+bytes of little-endian float64, in the same order (a neural model's
+theta), so files round-trip bit-exactly and identical runs write
+identical bytes.  The all-text `QAMODEL 1` files are not read: such a
+model must be trained again.
 """
 
 import math
@@ -24,11 +25,13 @@ from .models import (
     NaiveAllEntityModel,
     NeuralSequenceModel,
     RelationLabelSpace,
+    param_layout,
 )
+from .neural.layers import layout_size
 
 __all__ = ["load_model", "save_model"]
 
-# the arrays each baseline kind stores; neural kinds store all_params()
+# the arrays each baseline kind stores; neural kinds store their param_layout
 _BASELINE_ARRAYS = {
     "MAJORITY": ("counts",),
     "NB_MULTINOMIAL": ("class_counts", "token_counts", "total_tokens"),
@@ -66,11 +69,14 @@ def _parse_descriptor(pairs: dict[str, str]) -> ArchitectureDescriptor:
     )
 
 
-def _stored_arrays(model) -> dict[str, np.ndarray]:
-    """The arrays a model file stores, by name, in file order."""
+def _stored(model) -> tuple[list[tuple[str, tuple[int, ...]]], list[np.ndarray]]:
+    """The (name, shape) of each array a model file stores, in file order,
+    and arrays holding their values in that order."""
     if isinstance(model, NeuralSequenceModel):
-        return model.all_params()
-    return {name: getattr(model, name) for name in _BASELINE_ARRAYS[model.descriptor.kind]}
+        return model.layout, [model.theta]
+    names = _BASELINE_ARRAYS[model.descriptor.kind]
+    arrays = [getattr(model, name) for name in names]
+    return [(name, a.shape) for name, a in zip(names, arrays)], arrays
 
 
 def save_model(model, path: str) -> None:
@@ -93,10 +99,10 @@ def save_model(model, path: str) -> None:
     if labels is not None:
         lines.append(f"LABELS {len(labels.labels)}")
         lines.extend(labels.labels)
-    arrays = _stored_arrays(model)
-    for name, array in arrays.items():
-        lines.append(f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}")
-    write_artifact(path, "QAMODEL 2 ", lines, list(arrays.values()))
+    layout, arrays = _stored(model)
+    for name, shape in layout:
+        lines.append(f"PARAM {name} {len(shape)} {' '.join(str(s) for s in shape)}")
+    write_artifact(path, "QAMODEL 2 ", lines, arrays)
 
 
 def load_model(path: str):
@@ -117,71 +123,60 @@ def load_model(path: str):
         else:
             raise src.error(f"unexpected section {src.lines[src.pos - 1]!r}")
     values = dict(zip(blocks, src.arrays()))
-    dim = 0
+    vocab, labels = sections["VOCAB"], sections["LABELS"]
+    label_space = RelationLabelSpace(tuple(labels)) if labels else None
     if desc.kind in NEURAL_KINDS:
-        dim = _checked_width(path, desc, len(sections["VOCAB"]), len(sections["LABELS"]), blocks)
+        ids = {tok: i + 2 for i, tok in enumerate(vocab)}
+        layout = _neural_layout(path, desc, len(ids), len(labels), blocks)
+        _check_blocks(path, layout, blocks)
     try:
-        model = _empty_model(desc, src.fields, sections["VOCAB"], sections["LABELS"], dim)
+        if desc.kind in NEURAL_KINDS:
+            theta = np.concatenate([values[name].reshape(-1) for name, _ in layout])
+            model = NeuralSequenceModel(
+                desc, ids, label_space, int(src.fields["max_len"]), int(src.fields["seed"]), theta,
+                dim=layout[0][1][1], freeze_embeddings=src.fields["frozen"] == "1")
+            model.l1_activity = float(src.fields["l1"])
+            return model
+        if desc.kind == "NAIVE_ALL_ENTITY":
+            model = NaiveAllEntityModel(desc)
+        elif desc.kind == "MAJORITY":
+            model = MajorityModel(desc, label_space)
+        else:
+            model = MultinomialNBModel(desc, label_space, float(src.fields["alpha"]), vocab)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model: {exc!r}") from None
-    for name, array in _stored_arrays(model).items():
-        if name not in blocks:
-            raise ParseError(path, 1, f"missing parameter block {name!r}")
-        line_no, shape = blocks.pop(name)
-        if shape != array.shape:
-            raise ParseError(
-                path, line_no, f"PARAM {name} has shape {shape}, expected {array.shape}"
-            )
+    layout, arrays = _stored(model)
+    _check_blocks(path, layout, blocks)
+    for (name, _), array in zip(layout, arrays):
         array[...] = values[name]
-    for name, (line_no, _) in blocks.items():
-        raise ParseError(path, line_no, f"unexpected parameter block {name!r}")
     return model
 
 
-def _checked_width(path, desc, n_vocab: int, n_labels: int, blocks) -> int:
-    """The width of a neural model's embedding.E.  Its PARAM line must
-    give it a pad and an OOV row before the vocabulary's, and the other
-    PARAM lines must declare as many values as the descriptor implies,
-    so the payload's length bounds every array the load then makes."""
-    line_no, shape = blocks.get("embedding.E", (1, (n_vocab + 2, 0)))
+def _neural_layout(path, desc, n_vocab: int, n_labels: int, blocks):
+    """param_layout at the width of the embedding.E line, which must give a
+    pad and an OOV row before the vocabulary's.  The header must imply as
+    many values as the PARAM lines declare, so the payload bounds theta."""
+    line_no, shape = blocks.get("embedding.E", (1, ()))
     if len(shape) != 2 or shape[0] != n_vocab + 2:
         raise ParseError(path, line_no, f"PARAM embedding.E has shape {shape}, "
                          f"expected {n_vocab + 2} rows")
-    size, feed = 0, shape[1]
-    if desc.kind == "CONV_GRU":
-        size, feed = desc.conv_filters * (desc.conv_width * feed + 1), desc.conv_filters
-    gates = 4 if desc.kind in ("BILSTM2", "NT_BILSTM1") else 3
-    for hidden in desc.hidden_sizes:
-        size += 2 * gates * hidden * (feed + hidden + 1)
-        feed = 2 * hidden
-    size += (2 if desc.task == "ENTITY" else n_labels) * (feed + 1)
-    declared = sum(math.prod(s) for name, (_, s) in blocks.items() if name != "embedding.E")
-    if size != declared:
-        raise ParseError(path, 1, f"the header implies {size} values besides embedding.E, "
+    layout = param_layout(desc, n_vocab, shape[1], n_labels)
+    declared = sum(math.prod(s) for _, s in blocks.values())
+    if layout_size(layout) != declared:
+        raise ParseError(path, 1, f"the header implies {layout_size(layout)} values, "
                          f"but the PARAM lines declare {declared}")
-    return shape[1]
+    return layout
 
 
-def _empty_model(desc, pairs, vocab_tokens, labels, dim):
-    """A model of the descriptor whose arrays are zeros sized from the
-    file's VOCAB and LABELS; a neural embedding has a pad and an OOV row
-    before the vocabulary's, and is dim wide."""
-    label_space = RelationLabelSpace(tuple(labels)) if labels else None
-    if desc.kind == "NAIVE_ALL_ENTITY":
-        return NaiveAllEntityModel(desc)
-    if desc.kind == "MAJORITY":
-        return MajorityModel(desc, label_space)
-    if desc.kind == "NB_MULTINOMIAL":
-        return MultinomialNBModel(desc, label_space, float(pairs["alpha"]), vocab_tokens)
-    vocab = {tok: i + 2 for i, tok in enumerate(vocab_tokens)}
-    model = NeuralSequenceModel(
-        descriptor=desc,
-        vocab=vocab,
-        embedding_matrix=np.zeros((len(vocab) + 2, dim)),
-        label_space=label_space,
-        max_len=int(pairs["max_len"]),
-        seed=int(pairs["seed"]),
-        freeze_embeddings=pairs["frozen"] == "1",
-    )
-    model.l1_activity = float(pairs["l1"])
-    return model
+def _check_blocks(path, layout, blocks) -> None:
+    """Each array of the layout has a PARAM line of its shape, and no other does."""
+    expected = dict(layout)
+    for name, shape in layout:
+        if name not in blocks:
+            raise ParseError(path, 1, f"missing parameter block {name!r}")
+        if blocks[name][1] != shape:
+            raise ParseError(path, blocks[name][0],
+                             f"PARAM {name} has shape {blocks[name][1]}, expected {shape}")
+    for name, (line_no, _) in blocks.items():
+        if name not in expected:
+            raise ParseError(path, line_no, f"unexpected parameter block {name!r}")

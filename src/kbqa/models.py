@@ -20,6 +20,7 @@ length-sorted questions, PREDICT_BATCH per forward pass; carry masking
 keeps right padding out of every real position.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,10 @@ from .neural.layers import (
     DenseLayer,
     DropoutLayer,
     EmbeddingLayer,
+    RecurrentDirection,
+    carve,
     cross_entropy,
+    layout_size,
     softmax,
 )
 from .neural.optim import Optimizer
@@ -51,6 +55,7 @@ __all__ = [
     "build_model",
     "default_descriptor",
     "entity_phrase",
+    "param_layout",
     "predict_relation",
     "predict_relation_batch",
     "predict_tags",
@@ -163,20 +168,47 @@ class TagPrediction:
     degraded: bool
 
 
-class NeuralSequenceModel:
-    """A trainable tagger or classifier built from the minimal layer stack."""
+def param_layout(
+    descriptor: ArchitectureDescriptor, n_vocab: int, dim: int, n_labels: int
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every array a neural model stores, in the order of
+    its parameter vector and its file.  embedding.E, with a pad and an OOV
+    row before the n_vocab tokens' rows, comes first."""
+    parts = [("embedding", [("E", (n_vocab + 2, dim))])]
+    feed = dim
+    if descriptor.kind == "CONV_GRU":
+        parts.append(("conv", Conv1dLayer.shapes(descriptor.conv_filters, descriptor.conv_width,
+                                                 feed)))
+        feed = descriptor.conv_filters
+    cell = "lstm" if descriptor.kind in ("BILSTM2", "NT_BILSTM1") else "gru"
+    for i, hidden in enumerate(descriptor.hidden_sizes):
+        direction = RecurrentDirection.shapes(cell, feed, hidden)
+        parts += [(f"rec{i}.fwd", direction), (f"rec{i}.bwd", direction)]
+        feed = 2 * hidden
+    n_classes = 2 if descriptor.task == "ENTITY" else n_labels
+    parts.append(("dense", DenseLayer.shapes(feed, n_classes)))
+    return [(f"{prefix}.{name}", shape) for prefix, arrays in parts for name, shape in arrays]
 
-    def __init__(
-        self,
-        descriptor: ArchitectureDescriptor,
-        vocab: dict[str, int],
-        embedding_matrix: np.ndarray,
-        label_space: RelationLabelSpace | None,
-        max_len: int,
-        seed: int,
-        freeze_embeddings: bool = True,
-        init_scale: float = 0.08,
-    ):
+
+def _layer_blocks(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """vector cut into one run per layer: the arrays of layout whose names
+    share their first component ("conv", "rec0", ...)."""
+    sizes: dict[str, int] = {}
+    for name, shape in layout:
+        layer = name.partition(".")[0]
+        sizes[layer] = sizes.get(layer, 0) + math.prod(shape)
+    return carve(vector, [(layer, (size,)) for layer, size in sizes.items()])
+
+
+class NeuralSequenceModel:
+    """A trainable tagger or classifier built from the minimal layer stack.
+
+    Its parameters are one float64 vector, theta, laid out as `layout`;
+    every layer's arrays are views of it."""
+
+    def __init__(self, descriptor: ArchitectureDescriptor, vocab: dict[str, int],
+                 label_space: RelationLabelSpace | None, max_len: int, seed: int,
+                 theta: np.ndarray, dim: int, freeze_embeddings: bool = True):
         if descriptor.kind not in NEURAL_KINDS:
             raise ValueError(f"{descriptor.kind} is not a neural kind")
         if descriptor.task == "RELATION" and label_space is None:
@@ -187,71 +219,62 @@ class NeuralSequenceModel:
         self.max_len = max_len
         self.seed = seed
         self.l1_activity = 0.0
-        self._dropout_rng = rng_for(seed, "dropout")
+        self._dropout_rng = None  # the seed's "dropout" stream, from the first training pass
+        self.layout = param_layout(descriptor, len(vocab), dim, len(label_space or ()))
+        if theta.shape != (layout_size(self.layout),):
+            raise ValueError(f"theta must hold the layout's {layout_size(self.layout)} values")
+        self.theta = theta
 
-        rng = rng_for(seed, "init")
-        dim = embedding_matrix.shape[1]
-        self.embedding = EmbeddingLayer(embedding_matrix, trainable=not freeze_embeddings)
-        self.drops: list[DropoutLayer] = []
-        rates = list(descriptor.dropout_rates)
-
+        runs = _layer_blocks(theta, self.layout)
+        self.embedding = EmbeddingLayer(runs["embedding"].reshape(-1, dim), not freeze_embeddings)
         self.conv = None
-        feed_dim = dim
+        feeds = [dim]
         if descriptor.kind == "CONV_GRU":
-            self.conv = Conv1dLayer(
-                descriptor.conv_filters, descriptor.conv_width, dim, rng, init_scale
-            )
-            self.drops.append(DropoutLayer(rates.pop(0) if rates else 0.0))
-            feed_dim = descriptor.conv_filters
-
+            self.conv = Conv1dLayer(descriptor.conv_filters, descriptor.conv_width, dim,
+                                    block=runs["conv"])
+            feeds = [descriptor.conv_filters]
+        feeds += [2 * hidden for hidden in descriptor.hidden_sizes]
         cell = "lstm" if descriptor.kind in ("BILSTM2", "NT_BILSTM1") else "gru"
-        self.recurrents: list[BidirectionalLayer] = []
-        for hidden in descriptor.hidden_sizes:
-            layer = BidirectionalLayer(cell, feed_dim, hidden, rng, init_scale)
-            self.recurrents.append(layer)
-            self.drops.append(DropoutLayer(rates.pop(0) if rates else 0.0))
-            feed_dim = layer.output_dim
-
+        self.recurrents = [BidirectionalLayer(cell, feed, hidden, block=runs[f"rec{i}"])
+                           for i, (feed, hidden) in enumerate(zip(feeds, descriptor.hidden_sizes))]
         n_classes = 2 if descriptor.task == "ENTITY" else len(label_space)
-        self.dense = DenseLayer(feed_dim, n_classes, rng, init_scale)
+        self.dense = DenseLayer(feeds[-1], n_classes, block=runs["dense"])
+        # the layers by the first component of their names in the layout
+        self._layers = dict(zip(runs, filter(None, (self.embedding, self.conv,
+                                                    *self.recurrents, self.dense))))
+        # one dropout after the conv layer and after each recurrent layer
+        n_drops = len(self.recurrents) + (self.conv is not None)
+        rates = list(descriptor.dropout_rates) + [0.0] * n_drops
+        self.drops = [DropoutLayer(rate) for rate in rates[:n_drops]]
+
+    @classmethod
+    def fresh(cls, descriptor: ArchitectureDescriptor, vocab: dict[str, int],
+              embedding_matrix: np.ndarray, label_space: RelationLabelSpace | None,
+              max_len: int, seed: int, freeze_embeddings: bool = True,
+              init_scale: float = 0.08) -> "NeuralSequenceModel":
+        """A model whose embedding is a copy of embedding_matrix, which has
+        len(vocab) + 2 rows, and whose other parameters are one uniform draw
+        in [-init_scale, init_scale) from the seed's "init" stream."""
+        dim = embedding_matrix.shape[1]
+        size = layout_size(param_layout(descriptor, len(vocab), dim, len(label_space or ())))
+        rest = rng_for(seed, "init").uniform(-init_scale, init_scale, size - embedding_matrix.size)
+        theta = np.concatenate([embedding_matrix.reshape(-1), rest])
+        return cls(descriptor, vocab, label_space, max_len, seed, theta, dim, freeze_embeddings)
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _layer_items(self, grads: bool):
-        if self.embedding.trainable:
-            source = self.embedding.grads if grads else self.embedding.params
-            yield "embedding.E", source["E"]
-        if self.conv is not None:
-            source = self.conv.grads if grads else self.conv.params
-            for name, arr in source.items():
-                yield f"conv.{name}", arr
-        for i, layer in enumerate(self.recurrents):
-            for name, arr in (layer.grad_items() if grads else layer.param_items()):
-                yield f"rec{i}.{name}", arr
-        source = self.dense.grads if grads else self.dense.params
-        for name, arr in source.items():
-            yield f"dense.{name}", arr
-
     def trainable_params(self) -> dict[str, np.ndarray]:
-        return dict(self._layer_items(grads=False))
+        """Views of theta by name, without embedding.E while it is frozen."""
+        params = self.all_params()
+        if not self.embedding.trainable:
+            del params["embedding.E"]
+        return params
 
     def trainable_param_count(self) -> int:
         return sum(arr.size for arr in self.trainable_params().values())
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = {"embedding.E": self.embedding.params["E"]}
-        out.update(
-            (n, a) for n, a in self._layer_items(grads=False) if n != "embedding.E"
-        )
-        return out
-
-    def _zero_grads(self):
-        self.embedding.zero_grads()
-        if self.conv is not None:
-            self.conv.zero_grads()
-        for layer in self.recurrents:
-            layer.zero_grads()
-        self.dense.zero_grads()
+        return carve(self.theta, self.layout)
 
     # -- encoding ----------------------------------------------------------
 
@@ -270,30 +293,20 @@ class NeuralSequenceModel:
     # -- forward/backward --------------------------------------------------
 
     def _forward(self, ids, mask, training):
+        if training and self._dropout_rng is None:
+            self._dropout_rng = rng_for(self.seed, "dropout")
         rng = self._dropout_rng
+        *drops, last_drop = self.drops
         x = self.embedding.forward(ids)
-        drop_i = 0
         if self.conv is not None:
-            x = self.conv.forward(x)
-            x = self.drops[drop_i].forward(x, training, rng)
-            drop_i += 1
-        seq_outs = []
-        for li, layer in enumerate(self.recurrents):
-            out = layer.forward(x, mask)
-            seq_outs.append(out)
-            if li < len(self.recurrents) - 1:
-                x = self.drops[drop_i + li].forward(out, training, rng)
-        last_drop = self.drops[drop_i + len(self.recurrents) - 1]
-        last_out = seq_outs[-1]
-        if self.descriptor.task == "ENTITY":
-            head_in = last_drop.forward(last_out, training, rng)
-            logits = self.dense.forward(head_in)
-        else:
-            final = BidirectionalLayer.final_state(
-                last_out, self.recurrents[-1].hidden_dim
-            )
-            head_in = last_drop.forward(final, training, rng)
-            logits = self.dense.forward(head_in)
+            x = drops.pop(0).forward(self.conv.forward(x), training, rng)
+        seq_outs = [self.recurrents[0].forward(x, mask)]
+        for layer, drop in zip(self.recurrents[1:], drops):
+            seq_outs.append(layer.forward(drop.forward(seq_outs[-1], training, rng), mask))
+        head_in = seq_outs[-1]
+        if self.descriptor.task == "RELATION":
+            head_in = BidirectionalLayer.final_state(head_in, self.recurrents[-1].hidden_dim)
+        logits = self.dense.forward(last_drop.forward(head_in, training, rng))
         return seq_outs, last_drop, logits
 
     def _objective(self, seq_outs, logits, mask, targets) -> tuple[float, int]:
@@ -323,7 +336,10 @@ class NeuralSequenceModel:
     def loss_and_grads(self, batch, training: bool = False):
         """Mean cross-entropy plus L1 activity penalty; exact gradients."""
         ids, mask, targets = batch
-        self._zero_grads()
+        layout = self.layout[0 if self.embedding.trainable else 1 :]  # theta's trainable suffix
+        grads = np.zeros(layout_size(layout))
+        for name, block in _layer_blocks(grads, layout).items():
+            self._layers[name].use_grads(block)
         seq_outs, last_drop, logits = self._forward(ids, mask, training)
         total, act_count = self._objective(seq_outs, logits, mask, targets)
         l1 = self.l1_activity
@@ -346,13 +362,10 @@ class NeuralSequenceModel:
             if l1:
                 d_logits += l1 * np.sign(logits) / act_count
 
-        d_head_in = self.dense.backward(d_logits)
-        if self.descriptor.task == "ENTITY":
-            d = last_drop.backward(d_head_in)
-        else:
-            d_final = last_drop.backward(d_head_in)
+        d = last_drop.backward(self.dense.backward(d_logits))
+        if self.descriptor.task == "RELATION":
             d = BidirectionalLayer.inject_final_grad(
-                d_final, seq_outs[-1].shape, self.recurrents[-1].hidden_dim
+                d, seq_outs[-1].shape, self.recurrents[-1].hidden_dim
             )
         conv_sites = 1 if self.conv is not None else 0
         for li in range(len(self.recurrents) - 1, -1, -1):
@@ -362,11 +375,10 @@ class NeuralSequenceModel:
             if li > 0:
                 d = self.drops[conv_sites + li - 1].backward(d)
         if self.conv is not None:
-            d = self.drops[0].backward(d)
-            d = self.conv.backward(d)
+            d = self.conv.backward(self.drops[0].backward(d))
         self.embedding.backward(d)
 
-        return total, dict(self._layer_items(grads=True))
+        return total, carve(grads, layout)
 
     def loss(self, batch) -> float:
         ids, mask, targets = batch
@@ -381,9 +393,8 @@ class NeuralSequenceModel:
         afterwards, so a model does not hold its last prediction batch."""
         ids, mask = self.encode(token_seqs)
         _, _, logits = self._forward(ids, mask, training=False)
-        for layer in (self.embedding, self.conv, *self.recurrents, self.dense):
-            if layer is not None:
-                layer.forget()
+        for layer in self._layers.values():
+            layer.forget()
         return softmax(logits)
 
 
@@ -507,7 +518,7 @@ def build_model(
             vocab[token] = len(rows)
             rows.append(np.asarray(embeddings.lookup(token), dtype=np.float64))
     matrix = np.stack(rows, axis=0)
-    return NeuralSequenceModel(
+    return NeuralSequenceModel.fresh(
         descriptor, vocab, matrix, label_space, max_len, seed, freeze_embeddings
     )
 
@@ -709,7 +720,7 @@ def train(
     n = len(examples)
     log: list[EpochStats] = []
     best_acc = -1.0
-    best_params = None
+    best_theta = None
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         total_loss = 0.0
@@ -723,8 +734,7 @@ def train(
         log.append(EpochStats(epoch, total_loss / n, val_acc))
         if valid_set and val_acc > best_acc:
             best_acc = val_acc
-            best_params = {k: v.copy() for k, v in model.all_params().items()}
-    if best_params is not None:
-        for name, arr in model.all_params().items():
-            arr[...] = best_params[name]
+            best_theta = model.theta.copy()
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return log

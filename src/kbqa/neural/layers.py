@@ -5,8 +5,8 @@ mask (1.0 = real token, 0.0 = pad).  Recurrent layers carry the previous
 state through masked steps, so right padding never alters the states
 seen at real positions and gradients flow straight through pad steps.
 
-Every layer exposes params/grads dicts keyed by local names; models
-prefix them with a layer path to build one flat parameter space.
+Every parameter layer exposes params/grads dicts keyed by local names:
+views of one flat block each, in the order its `shapes` lists them.
 
 Recurrent cells (sigmoid s, elementwise *, inputs are row vectors):
 
@@ -15,16 +15,16 @@ Recurrent cells (sigmoid s, elementwise *, inputs are row vectors):
         hc = tanh(x W_h + (r*h) U_h + b_h)        c' = f*c + i*g
         h' = z*h + (1 - z)*hc                     h' = o*tanh(c')
 
-Both cells share one gate-major kernel.  A direction stores its weights
-as fused arrays W [k, D, H], U [k, H, H] and b [k, H], with k = 3 gates
-(z, r, h) for the GRU and k = 4 (i, f, o, g) for the LSTM.  params["W_z"]
-is W[0], params["U_r"] is U[1], and so on; grads follows the same layout
-over its own fused arrays.  Every entry is a C-contiguous writable view,
-so in-place writes reach the arrays the kernel reads: the optimizer's
-`p -= ...`, load_model's `arr[...] = ...`, and finite-difference checks
-writing through `arr.reshape(-1)` (a view only because each gate block
-is contiguous; a [D, k*H] column-slice layout would make it a copy).
-Rebinding a dict entry to a new array detaches it from the kernel.
+Both cells share one gate-major kernel.  A direction's block holds W_z,
+U_z, b_z, W_r, ... for the GRU (k = 3 gates z, r, h) and W_i, U_i, b_i,
+... for the LSTM (k = 4 gates i, f, o, g); the kernel reads W [k, D, H],
+U [k, H, H] and b [k, H], strided views of the block whose gate axis
+steps over one gate's W, U and b, and dW, dU, db likewise from the grads
+block.  Every params and grads entry is a C-contiguous writable view, so
+in-place writes reach the arrays the kernel reads: the optimizer's `p -=
+...` and finite-difference checks writing through `arr.reshape(-1)`.  A
+model hands each layer its run of the model's one parameter vector; a
+layer built alone owns its block.
 
 The forward pass projects every step's input with one GEMM, then runs
 one recurrent GEMM per step (two for the GRU, whose candidate reads
@@ -32,6 +32,8 @@ r*h).  The backward pass writes each step's gate gradients into one
 time-major [T, B, k, H] buffer and forms dW, dU, db and dx from it with
 one GEMM each after the loop.
 """
+
+import math
 
 import numpy as np
 
@@ -42,17 +44,12 @@ __all__ = [
     "DropoutLayer",
     "EmbeddingLayer",
     "RecurrentDirection",
+    "carve",
     "cross_entropy",
+    "layout_size",
     "sigmoid",
     "softmax",
 ]
-
-GRU_PARAM_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
-LSTM_PARAM_NAMES = (
-    "W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
-    "W_o", "U_o", "b_o", "W_g", "U_g", "b_g",
-)
-
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5*(1 + tanh(x/2)): one pass, no overflow."""
@@ -90,13 +87,38 @@ def cross_entropy(logits: np.ndarray, targets) -> np.ndarray:
     return np.log1p(rest.sum(axis=-1)) - picked
 
 
-class _ParamLayer:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+def layout_size(layout) -> int:
+    """The number of values the (name, shape) pairs of a layout hold."""
+    return sum(math.prod(shape) for _, shape in layout)
 
-    def zero_grads(self):
-        self.grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+
+def carve(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """One C-contiguous view of vector per (name, shape) of layout, in order."""
+    views, at = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = vector[at : at + size].reshape(shape)
+        at += size
+    return views
+
+
+class _ParamLayer:
+    """A layer whose params are views of one flat float64 block.  A layer
+    built alone owns its block: zeros, or one uniform draw from rng."""
+
+    def __init__(self, layout, block, rng=None, init_scale=0.0):
+        if block is None:
+            size = layout_size(layout)
+            block = np.zeros(size) if rng is None else rng.uniform(-init_scale, init_scale, size)
+        self.layout = layout
+        self.block = block
+        self.params = carve(block, layout)
+        self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
+
+    def use_grads(self, block: np.ndarray) -> None:
+        """Add the next backward passes' gradients into block, laid out as the params."""
+        self.grads = carve(block, self.layout)
 
     def forget(self):
         """Drop the activations forward keeps for backward."""
@@ -105,22 +127,14 @@ class _ParamLayer:
 
 class EmbeddingLayer(_ParamLayer):
     """Row lookup into a [vocab, dim] matrix; row 0 is reserved for padding
-    and is never updated."""
+    and is never updated.  It takes gradients only while trainable."""
 
     PAD_ROW = 0
 
     def __init__(self, matrix: np.ndarray, trainable: bool):
-        super().__init__()
-        self.params = {"E": np.asarray(matrix, dtype=np.float64)}
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        super().__init__([("E", matrix.shape)], matrix.reshape(-1))
         self.trainable = trainable
-        self._cache = None
-
-    def zero_grads(self):
-        # skip the (possibly large) grad buffer when frozen
-        if self.trainable:
-            super().zero_grads()
-        else:
-            self.grads = {}
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         self._cache = ids
@@ -136,35 +150,38 @@ class EmbeddingLayer(_ParamLayer):
 
 class RecurrentDirection(_ParamLayer):
     """One direction of a GRU or LSTM over a padded batch (see the module
-    docstring for the fused parameter layout)."""
+    docstring for the parameter layout)."""
 
     def __init__(self, kind: str, input_dim: int, hidden_dim: int, reverse: bool,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08):
-        super().__init__()
-        if kind not in ("gru", "lstm"):
-            raise ValueError(f"unknown cell kind {kind!r}")
+                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
+                 *, block: np.ndarray | None = None):
+        layout = self.shapes(kind, input_dim, hidden_dim)  # raises for an unknown kind
         self.kind = kind
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.reverse = reverse
-        self.names = GRU_PARAM_NAMES if kind == "gru" else LSTM_PARAM_NAMES
-        k = len(self.names) // 3
-        self.W = np.zeros((k, input_dim, hidden_dim))
-        self.U = np.zeros((k, hidden_dim, hidden_dim))
-        self.b = np.zeros((k, hidden_dim))
-        self.params = self._views(self.W, self.U, self.b)
-        if rng is not None:
-            # one uniform draw per named parameter, in name order
-            for arr in self.params.values():
-                arr[...] = rng.uniform(-init_scale, init_scale, size=arr.shape)
-        self._cache = None
+        super().__init__(layout, block, rng, init_scale)
+        self.W, self.U, self.b = self._fused(self.block)
 
-    def _views(self, W, U, b) -> dict[str, np.ndarray]:
-        return dict(zip(self.names, (a[j] for j in range(len(b)) for a in (W, U, b))))
+    @staticmethod
+    def shapes(kind: str, input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+        """The direction's arrays, gate by gate: W_z, U_z, b_z, W_r, ..."""
+        if kind not in ("gru", "lstm"):
+            raise ValueError(f"unknown cell kind {kind!r}")
+        shape = {"W": (input_dim, hidden_dim), "U": (hidden_dim, hidden_dim), "b": (hidden_dim,)}
+        return [(f"{m}_{gate}", shape[m]) for gate in ("zrh" if kind == "gru" else "ifog")
+                for m in "WUb"]
 
-    def zero_grads(self):
-        self.dW, self.dU, self.db = (np.zeros_like(a) for a in (self.W, self.U, self.b))
-        self.grads = self._views(self.dW, self.dU, self.db)
+    def _fused(self, block: np.ndarray):
+        """W [k, D, H], U [k, H, H] and b [k, H]: views of the block's rows [k, D*H + H*H + H]."""
+        d, h = self.input_dim, self.hidden_dim
+        rows = block.reshape(len(self.layout) // 3, -1)
+        return (rows[:, : d * h].reshape(-1, d, h), rows[:, d * h : -h].reshape(-1, h, h),
+                rows[:, -h:])
+
+    def use_grads(self, block: np.ndarray) -> None:
+        super().use_grads(block)
+        self.dW, self.dU, self.db = self._fused(block)
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         b_size, t_len, depth = x.shape
@@ -296,31 +313,24 @@ class BidirectionalLayer:
     """
 
     def __init__(self, kind: str, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08):
+                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
+                 *, block: np.ndarray | None = None):
         self.kind = kind
         self.hidden_dim = hidden_dim
-        self.fwd = RecurrentDirection(kind, input_dim, hidden_dim, False, rng, init_scale)
-        self.bwd = RecurrentDirection(kind, input_dim, hidden_dim, True, rng, init_scale)
+        halves = (None, None) if block is None else np.split(block, 2)
+        self.fwd, self.bwd = (RecurrentDirection(kind, input_dim, hidden_dim, reverse, rng,
+                                                 init_scale, block=half)
+                              for reverse, half in zip((False, True), halves))
 
     @property
     def output_dim(self) -> int:
         return 2 * self.hidden_dim
 
-    def param_items(self):
-        for name, arr in self.fwd.params.items():
-            yield f"fwd.{name}", arr
-        for name, arr in self.bwd.params.items():
-            yield f"bwd.{name}", arr
-
-    def grad_items(self):
-        for name, arr in self.fwd.grads.items():
-            yield f"fwd.{name}", arr
-        for name, arr in self.bwd.grads.items():
-            yield f"bwd.{name}", arr
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
+    def use_grads(self, block: np.ndarray) -> None:
+        """RecurrentDirection.use_grads for the two halves of block."""
+        half = block.size // 2
+        self.fwd.use_grads(block[:half])
+        self.bwd.use_grads(block[half:])
 
     def forget(self):
         self.fwd.forget()
@@ -351,22 +361,16 @@ class Conv1dLayer(_ParamLayer):
     """Causal same-length 1-D convolution (left zero pad) with ReLU."""
 
     def __init__(self, n_filters: int, width: int, input_dim: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08):
-        super().__init__()
+                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
+                 *, block: np.ndarray | None = None):
+        super().__init__(self.shapes(n_filters, width, input_dim), block, rng, init_scale)
         self.n_filters = n_filters
         self.width = width
         self.input_dim = input_dim
-        if rng is not None:
-            self.params = {
-                "F": rng.uniform(-init_scale, init_scale, size=(n_filters, width, input_dim)),
-                "b": rng.uniform(-init_scale, init_scale, size=n_filters),
-            }
-        else:
-            self.params = {
-                "F": np.zeros((n_filters, width, input_dim)),
-                "b": np.zeros(n_filters),
-            }
-        self._cache = None
+
+    @staticmethod
+    def shapes(n_filters: int, width: int, input_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+        return [("F", (n_filters, width, input_dim)), ("b", (n_filters,))]
 
     @property
     def output_dim(self) -> int:
@@ -398,18 +402,15 @@ class DenseLayer(_ParamLayer):
     """Affine map to class logits; weights are [classes, hidden]."""
 
     def __init__(self, input_dim: int, n_classes: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08):
-        super().__init__()
+                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
+                 *, block: np.ndarray | None = None):
+        super().__init__(self.shapes(input_dim, n_classes), block, rng, init_scale)
         self.input_dim = input_dim
         self.n_classes = n_classes
-        if rng is not None:
-            self.params = {
-                "W": rng.uniform(-init_scale, init_scale, size=(n_classes, input_dim)),
-                "b": rng.uniform(-init_scale, init_scale, size=n_classes),
-            }
-        else:
-            self.params = {"W": np.zeros((n_classes, input_dim)), "b": np.zeros(n_classes)}
-        self._cache = None
+
+    @staticmethod
+    def shapes(input_dim: int, n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+        return [("W", (n_classes, input_dim)), ("b", (n_classes,))]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(-1, x.shape[-1])

@@ -224,3 +224,63 @@ def test_undecodable_names_the_line(tmp_path, data, line_no):
     path.write_bytes(data)
     error = undecodable(str(path))
     assert (error.path, error.line_no) == (str(path), line_no)
+
+
+# a value whose implied allocation stays far under 50 MB, or one far too
+# large to allocate, so a load that allocates before it checks fails fast
+HEADER_VALUES = st.integers(-2, 300) | st.integers(10**12, 10**15)
+
+
+def header_sites(text: str) -> dict[str, list[tuple[int, int]]]:
+    """(line index, field index) of every numeric header field of a neural
+    model file, by what it holds: line 1's hidden sizes, conv_filters,
+    conv_width and max_len, the VOCAB and LABELS counts and the PARAM
+    sizes."""
+    sites: dict[str, list[tuple[int, int]]] = {}
+    for i, line in enumerate(text.split("\n")):
+        fields = line.split(" ")
+        if i == 0:
+            for j, f in enumerate(fields):
+                key = f.partition("=")[0]
+                if key in ("hidden", "conv_filters", "conv_width", "max_len"):
+                    sites.setdefault(key, []).append((i, j))
+        elif fields[0] in ("VOCAB", "LABELS"):
+            sites.setdefault(fields[0], []).append((i, 1))
+        elif fields[0] == "PARAM":
+            sites.setdefault("PARAM", []).extend((i, j) for j in range(3, len(fields)))
+    return sites
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_header_field_edit_loads_or_raises_parse_error(artifacts, tmp_path, data):
+    """Any value in any numeric header field of a model file loads or raises
+    ParseError; a value of 10^12 or more, where it sizes an array, raises
+    ParseError without allocating it."""
+    name = data.draw(st.sampled_from([f"{kind}.qam" for kind in NEURAL_KINDS]))
+    n = int(artifacts[name].split(b" ", 3)[2].partition(b"=")[2])
+    text, payload = artifacts[name][:-n].decode("utf-8"), artifacts[name][-n:]
+    sites = header_sites(text)
+    what = data.draw(st.sampled_from(sorted(sites)))
+    line_no, field_no = data.draw(st.sampled_from(sites[what]))
+    value = data.draw(HEADER_VALUES)
+    lines = [line.split(" ") for line in text.split("\n")]
+    field = lines[line_no][field_no]
+    if what == "hidden":
+        sizes = field.partition("=")[2].split(",")
+        sizes[data.draw(st.integers(0, len(sizes) - 1))] = str(value)
+        lines[line_no][field_no] = "hidden=" + ",".join(sizes)
+    else:
+        lines[line_no][field_no] = (f"{what}={value}" if line_no == 0 else str(value))
+    path = tmp_path / name
+    path.write_bytes("\n".join(" ".join(f) for f in lines).encode("utf-8") + payload)
+    sizes_an_array = what != "max_len" and (name == "CONV_GRU.qam" or not what.startswith("conv"))
+    if value >= 10**12 and sizes_an_array:
+        with pytest.raises(ParseError):
+            load_model(str(path))
+        return
+    try:
+        use(str(path))
+    except ParseError:
+        pass

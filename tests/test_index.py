@@ -133,6 +133,13 @@ class TestBuildsMatchReference:
     def test_one_token_and_long_aliases(self):
         self.check(kb_of({"e1": ("a",), "e2": ("a b c d",), "e3": ("b c d e f g", "a")}))
 
+    def test_both_builds_share_one_names_list(self):
+        """The KB sorts its entity names once, and both indexes rank by them."""
+        kb = kb_of({"e2": ("tom",), "e1": ("tim",)}, facts=[("e3", "bornOn", "x")])
+        names = build_entity_index(kb).names
+        assert names == ["e1", "e2", "e3"]
+        assert build_reach_index(kb).names is names
+
     def test_entity_with_aliases_but_no_facts(self):
         kb = kb_of({"e1": ("tom",), "e2": ("tim",), "e3": ("tam",)},
                    facts=[("e2", "bornOn", "x")])

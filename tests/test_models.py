@@ -16,6 +16,7 @@ from kbqa.models import (
     build_model,
     default_descriptor,
     entity_phrase,
+    param_layout,
     predict_relation,
     predict_relation_batch,
     predict_tags,
@@ -511,6 +512,72 @@ class TestSerialization:
 
 
 NL = "\n"
+
+
+class TestParamLayout:
+    """param_layout is the one list of a neural model's arrays: the model's
+    views of theta, the PARAM lines of its file and its load follow it."""
+
+    @staticmethod
+    def views(model) -> list[np.ndarray]:
+        """Every named parameter view and fused array the model's layers use."""
+        directions = [d for layer in model.recurrents for d in (layer.fwd, layer.bwd)]
+        layers = [model.embedding, model.conv, model.dense, *directions]
+        views = [a for layer in filter(None, layers) for a in layer.params.values()]
+        return views + [a for d in directions for a in (d.W, d.U, d.b)]
+
+    @pytest.mark.parametrize("kind,task", NEURAL_CASES)
+    def test_fresh_and_loaded_models_follow_the_layout(self, kind, task, embeddings, tmp_path,
+                                                       monkeypatch):
+        model = neural_model(kind, task, embeddings)
+        path = tmp_path / "model.qam"
+        save_model(model, str(path))
+        written = [(f[1], tuple(int(n) for n in f[3:]))
+                   for f in map(str.split, split_artifact(path)[0].split("\n"))
+                   if f[:1] == ["PARAM"]]
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load makes no random numbers")
+
+        # Generator.uniform cannot be patched (an immutable extension type),
+        # so every way to make a generator raises instead
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "uniform", no_draws)
+        monkeypatch.setattr(models, "rng_for", no_draws)
+        loaded = load_model(str(path))
+        monkeypatch.undo()
+
+        assert np.array_equal(loaded.theta, model.theta)
+        for m in (model, loaded):
+            layout = param_layout(m.descriptor, len(m.vocab), embeddings.dimension,
+                                  len(m.label_space or ()))
+            assert layout == [(n, a.shape) for n, a in m.all_params().items()] == written
+            assert m.theta.size == sum(math.prod(shape) for _, shape in layout)
+            assert m.trainable_param_count() == m.theta.size - m.embedding.params["E"].size
+            for view in [*m.all_params().values(), *self.views(m)]:
+                assert np.shares_memory(view, m.theta)
+
+    def test_trainable_params_are_the_suffix_of_theta(self, embeddings):
+        model = neural_model("CONV_GRU", "RELATION", embeddings)
+        frozen = model.trainable_params()
+        assert "embedding.E" not in frozen
+        assert list(frozen) == [name for name, _ in model.layout[1:]]
+        model.embedding.trainable = True
+        assert list(model.trainable_params()) == [name for name, _ in model.layout]
+        assert model.trainable_param_count() == model.theta.size
+        for name, view in model.trainable_params().items():
+            view.reshape(-1)[0] = 7.5
+            assert model.all_params()[name].reshape(-1)[0] == 7.5, name
+
+    def test_each_call_returns_its_own_gradients(self, embeddings):
+        model = neural_model("BIGRU2", "RELATION", embeddings)
+        ids, mask = model.encode(mixed_questions(5, seed=3))
+        batch = (ids, mask, np.zeros(5, dtype=np.int64))
+        _, first = model.loss_and_grads(batch)
+        kept = {name: g.copy() for name, g in first.items()}
+        model.loss_and_grads(batch)
+        for name, g in first.items():
+            assert np.array_equal(g, kept[name]), name
 
 
 class TestModelFileErrors:

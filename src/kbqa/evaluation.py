@@ -82,10 +82,8 @@ def question_correct(
     both match the gold annotation."""
     if query.relation != gold.gold_relation:
         return False
-    candidates = query_entity_index(entity_index, list(query.entity_phrase), k)
-    if not candidates.candidates:
-        return False
-    return candidates.candidates[0][0] == gold.gold_subject
+    ranks = query_entity_index(entity_index, list(query.entity_phrase), k).ranks
+    return len(ranks) > 0 and entity_index.names[ranks[0]] == gold.gold_subject
 
 
 def _predict_once(predict, models, dataset, lexicon) -> dict[int, list]:

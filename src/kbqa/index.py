@@ -26,8 +26,11 @@ are the entity ranks entities[offsets[g]:offsets[g + 1]], strictly
 increasing, with their weights at the same places of weights, all numpy
 arrays.  The facts of names[r] are the places offsets[r]:offsets[r + 1]
 of the edge lists, in source fact order: a relation id into the sorted
-relation names, and an object.  Both are saved as one `QAIDX 3`
-artifact:
+relation names, and an object.  Queries pass entities as ranks:
+query_entity_index gives a CandidateSet of ranks and scores, and
+query_reach reads each rank's facts straight from offsets, so a name is
+looked up only for a fact that comes out.  Both indexes are saved as one
+`QAIDX 3` artifact:
 
     QAIDX 3 payload=N aliases=A
     NAMES E                       entity names, sorted
@@ -143,12 +146,15 @@ class EntityIndex:
         return _View(self.grams, lookup)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Entities scored against a phrase, descending score, ties by entity id."""
+    """Entity ranks scored against a phrase, in result order: descending
+    score, ties by rank (an int array and a float64 array)."""
 
-    candidates: tuple[tuple[str, float], ...]
-    k: int
+    ranks: np.ndarray
+    scores: np.ndarray
+
+    __eq__ = _equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,30 +172,9 @@ class ReachIndex:
     __eq__ = _equal
 
     @cached_property
-    def rank(self) -> dict[str, int]:
-        """entity -> its rank in names."""
-        return _positions(self.names)
-
-    @cached_property
     def relation_id(self) -> dict[str, int]:
         """relation -> its id in relation_names."""
         return _positions(self.relation_names)
-
-    @cached_property
-    def edges(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
-        """entity -> ((relation, object), ...) in source fact order, for
-        each entity with facts, read-only."""
-
-        def lookup(entity):
-            lo, hi = self.offsets[self.rank[entity] :][:2]
-            if lo == hi:
-                raise KeyError(entity)
-            return tuple(zip([self.relation_names[i] for i in self.relations[lo:hi]],
-                             self.objects[lo:hi]))
-
-        subjects = [name for name, lo, hi in zip(self.names, self.offsets, self.offsets[1:])
-                    if lo < hi]
-        return _View(subjects, lookup)
 
 
 @dataclass(frozen=True)
@@ -239,14 +224,14 @@ def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
 
 
 def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
-    """Top-k entities for a phrase; score = sum over phrase n-grams of the
-    entity's weight for that n-gram."""
+    """Top-k entity ranks for a phrase; score = sum over phrase n-grams of
+    the entity's weight for that n-gram."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rows = np.array([r for r in map(idx.row.get, ngrams(list(phrase_tokens), MAX_NGRAM))
                      if r is not None], dtype=np.intp)
     if not len(rows):
-        return CandidateSet((), k)
+        return CandidateSet(idx.entities[:0], idx.weights[:0])
     spans = [slice(*span) for span in zip(idx.offsets[rows].tolist(),
                                           idx.offsets[rows + 1].tolist())]
     if len(spans) == 1:
@@ -262,8 +247,7 @@ def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
                              np.concatenate([idx.weights[s] for s in spans])[order])
         ranks = ranks[first]
     top = np.lexsort((ranks, -scores))[:k]
-    names = [idx.names[r] for r in ranks[top].tolist()]
-    return CandidateSet(tuple(zip(names, scores[top].tolist())), k)
+    return CandidateSet(ranks[top], scores[top])
 
 
 def build_reach_index(kb: KnowledgeBase) -> ReachIndex:
@@ -282,17 +266,17 @@ def build_reach_index(kb: KnowledgeBase) -> ReachIndex:
 
 
 def query_reach(idx: ReachIndex, candidates: CandidateSet, relation: str) -> list[AnswerCandidate]:
-    """Facts of candidate entities matching the relation, carrying entity scores."""
+    """Facts of the candidate entities matching the relation, in candidate
+    order, carrying entity scores; a candidate's name is looked up only for
+    the facts it yields."""
     rel, offsets, relations = idx.relation_id.get(relation), idx.offsets, idx.relations
     out = []
     if rel is None:
         return out
-    for entity, score in candidates.candidates:
-        r = idx.rank.get(entity)
-        if r is not None:
-            for i in range(offsets[r], offsets[r + 1]):
-                if relations[i] == rel:
-                    out.append(AnswerCandidate(entity, relation, idx.objects[i], score))
+    for r, score in zip(candidates.ranks.tolist(), candidates.scores.tolist()):
+        for i in range(offsets[r], offsets[r + 1]):
+            if relations[i] == rel:
+                out.append(AnswerCandidate(idx.names[r], relation, idx.objects[i], score))
     return out
 
 

@@ -113,17 +113,24 @@ def load_model(path: str):
         raise ParseError(path, 1, f"bad model header: {exc!r}") from None
 
     sections: dict[str, list[str]] = {"VOCAB": [], "LABELS": []}
+    first_row = {}  # section -> line of its first row
     blocks: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (header line, shape)
     while not src.done():
         kind, *fields = src.header()
         if kind in sections and len(fields) == 1:
             sections[kind] = src.take(src.counts(fields)[0])
+            first_row[kind] = src.start + 1
         elif kind == "PARAM" and len(fields) >= 3 and fields[0] not in blocks:
             blocks[fields[0]] = src.pos, src.shape(fields[1:])
         else:
             raise src.error(f"unexpected section {src.lines[src.pos - 1]!r}")
     values = dict(zip(blocks, src.arrays()))
     vocab, labels = sections["VOCAB"], sections["LABELS"]
+    if len(set(vocab)) < len(vocab):
+        first: dict[str, int] = {}  # token -> its first row
+        j = next(j for j, tok in enumerate(vocab) if first.setdefault(tok, j) != j)
+        raise ParseError(path, first_row["VOCAB"] + j, f"VOCAB token {vocab[j]!r} "
+                         f"repeats line {first_row['VOCAB'] + first[vocab[j]]}")
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
     if desc.kind in NEURAL_KINDS:
         ids = {tok: i + 2 for i, tok in enumerate(vocab)}
@@ -131,9 +138,12 @@ def load_model(path: str):
         _check_blocks(path, layout, blocks)
     try:
         if desc.kind in NEURAL_KINDS:
+            max_len = int(src.fields["max_len"])
+            if max_len < 1:
+                raise ParseError(path, 1, f"max_len must be >= 1, got {max_len}")
             theta = np.concatenate([values[name].reshape(-1) for name, _ in layout])
             model = NeuralSequenceModel(
-                desc, ids, label_space, int(src.fields["max_len"]), int(src.fields["seed"]), theta,
+                desc, ids, label_space, max_len, int(src.fields["seed"]), theta,
                 dim=layout[0][1][1], freeze_embeddings=src.fields["frozen"] == "1")
             model.l1_activity = float(src.fields["l1"])
             return model

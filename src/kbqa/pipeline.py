@@ -1,8 +1,10 @@
 """End-to-end answering: question -> structured query -> best supporting fact.
 
-The relation acts as a hard filter over the candidate entities' facts;
-the answer score is the entity candidate's TF-IDF score, unmodified.
-no-answer is an explicit None outcome, never an exception.
+The entity candidates are ranks with TF-IDF scores, best first; the
+relation acts as a hard filter over their facts, and the answer score is
+the entity candidate's score, unmodified.  Names are looked up only for
+the facts that pass.  no-answer is an explicit None outcome, never an
+exception.
 """
 
 from dataclasses import dataclass
@@ -65,10 +67,8 @@ def answer(
     answer_set = query_reach(reach_index, candidates, query.relation)
     if not answer_set:
         return None
+    # candidates come best first, ties by rank, so the first fact is the best
     best = answer_set[0]
-    for cand in answer_set[1:]:
-        if cand.score > best.score:
-            best = cand
     return Answer(
         object=best.object,
         supporting_fact=Fact(best.entity, best.relation, best.object),

@@ -367,23 +367,42 @@ def brute_answer(kb: KnowledgeBase, phrase_tokens, relation: str, k: int):
     return None
 
 
+def named_candidates(idx, candidates: CandidateSet) -> list[tuple[str, float]]:
+    """A CandidateSet as (entity name, score) pairs, in result order."""
+    return [(idx.names[r], score)
+            for r, score in zip(candidates.ranks.tolist(), candidates.scores.tolist())]
+
+
 def query_entity_index_reference(idx, phrase_tokens, k: int) -> CandidateSet:
     """index.query_entity_index as a loop over the postings' rows: each
-    entity's score starts at 0.0 and adds its weight for every n-gram of
-    the phrase, in n-gram order."""
-    scores: dict[str, float] = {}
+    entity rank's score starts at 0.0 and adds its weight for every n-gram
+    of the phrase, in n-gram order."""
+    row = {gram: g for g, gram in enumerate(idx.grams)}
+    scores: dict[int, float] = {}
     for gram in ngrams(list(phrase_tokens), MAX_NGRAM):
-        for entity, weight in idx.postings.get(gram, ()):
-            scores[entity] = scores.get(entity, 0.0) + weight
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return CandidateSet(tuple(ranked[:k]), k)
+        if gram in row:
+            lo, hi = idx.offsets[row[gram]], idx.offsets[row[gram] + 1]
+            for r, weight in zip(idx.entities[lo:hi].tolist(), idx.weights[lo:hi].tolist()):
+                scores[r] = scores.get(r, 0.0) + weight
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return CandidateSet(np.array([r for r, _ in ranked], np.int32),
+                        np.array([score for _, score in ranked], np.float64))
+
+
+def reach_edges(idx: ReachIndex) -> dict[str, tuple[tuple[str, str], ...]]:
+    """entity -> ((relation, object), ...) in source fact order, for each
+    entity with facts."""
+    return {name: tuple((idx.relation_names[idx.relations[i]], idx.objects[i])
+                        for i in range(lo, hi))
+            for name, lo, hi in zip(idx.names, idx.offsets, idx.offsets[1:]) if lo < hi}
 
 
 def query_reach_reference(idx, candidates: CandidateSet, relation: str) -> list[AnswerCandidate]:
     """index.query_reach as a loop over each candidate's edges."""
+    edges = reach_edges(idx)
     out = []
-    for entity, score in candidates.candidates:
-        for rel, obj in idx.edges.get(entity, ()):
+    for entity, score in named_candidates(idx, candidates):
+        for rel, obj in edges.get(entity, ()):
             if rel == relation:
                 out.append(AnswerCandidate(entity, rel, obj, score))
     return out

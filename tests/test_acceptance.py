@@ -28,7 +28,7 @@ from kbqa.neural import TrainConfig, make_optimizer
 from kbqa.pipeline import StructuredQuery, answer
 
 from corpora import entity_template_corpus, trigger_relation_corpus
-from oracles import brute_answer, brute_rank, random_kb, random_phrase
+from oracles import brute_answer, brute_rank, named_candidates, random_kb, random_phrase
 from conftest import TOY_ALIASES, TOY_FACTS, TOY_QUESTIONS
 
 
@@ -65,7 +65,7 @@ def test_criterion_2_index_oracle():
         phrase = random_phrase(rng)
         relation = str(rng.choice(["bornOn", "starredIn", "wrote", "livedIn"]))
 
-        got = list(query_entity_index(entity_idx, phrase, k=10).candidates)
+        got = named_candidates(entity_idx, query_entity_index(entity_idx, phrase, k=10))
         assert got == brute_rank(kb, phrase, 10)
 
         got_answer = answer(

@@ -33,6 +33,8 @@ from kbqa.models import (
 from kbqa.neural import TrainConfig, make_optimizer
 from kbqa.textproc import ngrams
 
+from oracles import named_candidates
+
 QUESTION = ["how", "old", "is", "tom", "hanks"]
 
 
@@ -123,9 +125,9 @@ GOLDEN_INDEX = os.path.join(os.path.dirname(__file__), "golden", "toy.qaidx")
 def test_golden_index_gives_known_candidates():
     entity_index, reach_index = load_indexes(GOLDEN_INDEX)
     candidates = query_entity_index(entity_index, ["tom", "hanks"], 5)
-    assert candidates.candidates == (
+    assert named_candidates(entity_index, candidates) == [
         ("e1", 2.3655156698609248), ("e2", 0.5036085412553302), ("e3", 0.40771451710473655)
-    )
+    ]
     assert [a.object for a in query_reach(reach_index, candidates, "bornOn")] == [
         "1956", "1962", "1970"
     ]

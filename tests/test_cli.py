@@ -530,10 +530,13 @@ class TestArtifactErrors:
         assert f"{rm}:{n_lines}: " in capsys.readouterr().err
 
     def rejects(self, capsys, index, em, rm, path, line_no):
-        """ask exits 1 and names path:line_no, and nothing else goes wrong."""
+        """ask exits 1 and names path:line_no, and nothing else goes wrong;
+        returns the error text."""
         capsys.readouterr()
         assert self.ask(index, em, rm) == 1
-        assert f"{path}:{line_no}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}:{line_no}: " in err
+        return err
 
     def test_non_utf8_index(self, indexed, tmp_path, capsys):
         em, rm = train_toy_models(indexed, tmp_path)
@@ -560,6 +563,31 @@ class TestArtifactErrors:
         em = train_nt_bilstm1(indexed, tmp_path)
         add_vocab_line(em)
         self.rejects(capsys, indexed[3], em, rm, em, first_line(em, "PARAM embedding.E "))
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one(self, indexed, tmp_path, capsys, max_len):
+        """A tagger that reads no token would tag every one as entity."""
+        _, rm = train_toy_models(indexed, tmp_path)
+        em = train_nt_bilstm1(indexed, tmp_path)
+        replace_line(em, 1, lambda line: " ".join(
+            f"max_len={max_len}" if f.startswith("max_len=") else f for f in line.split(" ")))
+        err = self.rejects(capsys, indexed[3], em, rm, em, 1)
+        assert f"max_len must be >= 1, got {max_len}" in err
+
+    @pytest.mark.parametrize("side", ["entity", "relation"])
+    def test_repeated_vocab_token(self, indexed, tmp_path, capsys, side):
+        """Two VOCAB rows of an NT_BILSTM1 or a Naive Bayes model read
+        `hanks`: the later one is named."""
+        _, rm = train_toy_models(indexed, tmp_path, relation_kind="NB_MULTINOMIAL")
+        em = train_nt_bilstm1(indexed, tmp_path)
+        path = em if side == "entity" else rm
+        first = first_line(path, "VOCAB ") + 1
+        rows = split_artifact(path)[0].split("\n")[first - 1 :]
+        at = rows.index("hanks")
+        other = 1 if at == 0 else 0
+        replace_line(path, first + other, lambda line: "hanks")
+        err = self.rejects(capsys, indexed[3], em, rm, path, first + max(at, other))
+        assert f"VOCAB token 'hanks' repeats line {first + min(at, other)}" in err
 
     @pytest.mark.parametrize("counts", ["1.0 1.0 3.0", "3.0"])
     def test_majority_counts_do_not_match_labels(self, indexed, tmp_path, capsys, counts):

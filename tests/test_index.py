@@ -22,10 +22,12 @@ from oracles import (
     brute_rank,
     build_entity_index_reference,
     build_reach_index_reference,
+    named_candidates,
     query_entity_index_reference,
     query_reach_reference,
     random_kb,
     random_phrase,
+    reach_edges,
 )
 
 
@@ -167,19 +169,27 @@ class TestQueryEntityIndex:
     def test_bigram_match_wins(self):
         idx = build_entity_index(THREE_ALIAS_KB)
         result = query_entity_index(idx, ["tom", "hanks"], k=3)
-        assert result.candidates[0][0] == "e1"
+        assert idx.names[result.ranks[0]] == "e1"
+
+    @staticmethod
+    def no_candidates(phrase):
+        """Zero-length integer ranks and float64 scores, which query_reach
+        reads as no answer."""
+        kb = kb_of(THREE_ALIAS_KB.aliases, facts=[("e1", "bornOn", "1956")])
+        result = query_entity_index(build_entity_index(kb), phrase, k=5)
+        assert (result.ranks.shape, result.ranks.dtype.kind) == ((0,), "i")
+        assert (result.scores.shape, result.scores.dtype) == ((0,), np.float64)
+        assert query_reach(build_reach_index(kb), result, "bornOn") == []
 
     def test_unknown_phrase_empty(self):
-        idx = build_entity_index(THREE_ALIAS_KB)
-        assert query_entity_index(idx, ["zzz"], k=5).candidates == ()
+        self.no_candidates(["zzz"])
 
     def test_k_caps_results(self):
         idx = build_entity_index(THREE_ALIAS_KB)
-        assert len(query_entity_index(idx, ["tom"], k=1).candidates) == 1
+        assert len(query_entity_index(idx, ["tom"], k=1).ranks) == 1
 
     def test_empty_phrase(self):
-        idx = build_entity_index(THREE_ALIAS_KB)
-        assert query_entity_index(idx, [], k=5).candidates == ()
+        self.no_candidates([])
 
     def test_bad_k(self):
         idx = build_entity_index(THREE_ALIAS_KB)
@@ -192,22 +202,23 @@ class TestQueryEntityIndex:
             kb = random_kb(rng, max_aliases=30, max_facts=60)
             idx = build_entity_index(kb)
             phrase = random_phrase(rng)
-            got = query_entity_index(idx, phrase, k=10).candidates
-            assert list(got) == brute_rank(kb, phrase, 10)
+            got = named_candidates(idx, query_entity_index(idx, phrase, k=10))
+            assert got == brute_rank(kb, phrase, 10)
 
 
 class TestMatchesReference:
-    """The array queries give candidates and answers repr-equal to the
-    loops over the postings and edges."""
+    """The array queries give the ranks and scores of the loops over the
+    postings, exactly, and answers repr-equal to the loop over the edges."""
 
     def check(self, kb, phrase, relation, k, indexes=None):
         entity_idx, reach_idx = indexes or (build_entity_index(kb), build_reach_index(kb))
         got = query_entity_index(entity_idx, phrase, k)
         want = query_entity_index_reference(entity_idx, phrase, k)
-        assert repr(got) == repr(want)
+        assert got.ranks.tolist() == want.ranks.tolist()
+        assert got.scores.tolist() == want.scores.tolist()
         assert repr(query_reach(reach_idx, got, relation)) == repr(
             query_reach_reference(reach_idx, want, relation))
-        return got.candidates
+        return tuple(named_candidates(entity_idx, got))
 
     def test_random_kbs(self):
         """The 200 KBs of acceptance criterion 2, each with its phrase, the
@@ -249,29 +260,29 @@ class TestReachIndex:
             facts=[("e1", "bornOn", "1956"), ("e1", "starredIn", "m1")],
         )
         idx = build_reach_index(kb)
-        assert idx.edges["e1"] == (("bornOn", "1956"), ("starredIn", "m1"))
+        assert reach_edges(idx)["e1"] == (("bornOn", "1956"), ("starredIn", "m1"))
 
     def test_empty(self):
-        assert build_reach_index(kb_of({})).edges == {}
+        assert reach_edges(build_reach_index(kb_of({}))) == {}
 
     def test_duplicates_retained(self):
         kb = kb_of(
             {"e1": ("tom",)},
             facts=[("e1", "bornOn", "1956"), ("e1", "bornOn", "1956")],
         )
-        assert len(build_reach_index(kb).edges["e1"]) == 2
+        assert len(reach_edges(build_reach_index(kb))["e1"]) == 2
 
     def test_query_reach_single(self):
         kb = kb_of({"e1": ("tom",)}, facts=[("e1", "bornOn", "1956")])
         idx = build_reach_index(kb)
-        out = query_reach(idx, CandidateSet((("e1", 2.0),), 5), "bornOn")
+        out = query_reach(idx, CandidateSet(np.array([0]), np.array([2.0])), "bornOn")
         assert len(out) == 1
         assert (out[0].entity, out[0].object, out[0].score) == ("e1", "1956", 2.0)
 
     def test_query_reach_absent_relation(self):
         kb = kb_of({"e1": ("tom",)}, facts=[("e1", "bornOn", "1956")])
         idx = build_reach_index(kb)
-        assert query_reach(idx, CandidateSet((("e1", 2.0),), 5), "wrote") == []
+        assert query_reach(idx, CandidateSet(np.array([0]), np.array([2.0])), "wrote") == []
 
     def test_query_reach_preserves_candidate_order(self):
         kb = kb_of(
@@ -279,9 +290,8 @@ class TestReachIndex:
             facts=[("e2", "bornOn", "1960"), ("e1", "bornOn", "1956")],
         )
         idx = build_reach_index(kb)
-        out = query_reach(
-            idx, CandidateSet((("e2", 3.0), ("e1", 1.0)), 5), "bornOn"
-        )
+        # e1 has rank 0 and e2 rank 1
+        out = query_reach(idx, CandidateSet(np.array([1, 0]), np.array([3.0, 1.0])), "bornOn")
         assert [c.entity for c in out] == ["e2", "e1"]
 
     def test_output_is_subset_of_kb_facts(self):
@@ -306,7 +316,7 @@ class TestSerialization:
         save_indexes(entity_idx, reach_idx, str(path))
         loaded_entity, loaded_reach = load_indexes(str(path))
         assert loaded_entity.alias_count == entity_idx.alias_count
-        assert loaded_reach.edges == reach_idx.edges
+        assert reach_edges(loaded_reach) == reach_edges(reach_idx)
         for _ in range(1000):
             phrase = random_phrase(rng)
             a = query_entity_index(entity_idx, phrase, k=10)

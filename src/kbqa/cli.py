@@ -325,8 +325,9 @@ def _load_split(opts):
 
 
 def _require_file(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise QAError(f"{what} file not found: {path}")
+    if not os.path.isfile(path):
+        problem = "is not a regular file" if os.path.exists(path) else "not found"
+        raise QAError(f"{what} file {problem}: {path}")
     return path
 
 

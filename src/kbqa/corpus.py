@@ -6,6 +6,13 @@ File formats (UTF-8, tab-separated, no headers):
   questions  subject_id<TAB>relation<TAB>object<TAB>question_text
   embeddings token v1 v2 ... vd                (single spaces)
 
+A KnowledgeBase holds its facts as three same-length columns of
+strings (subjects, relations, objects), with no object per fact.
+load_facts reads each TSV whole, in text mode (so \r\n and \r end lines
+too), and splits its non-empty lines as one flat list of fields; a file
+with a wrong field count or an empty field is read again line by line,
+so that its ParseError names the line.
+
 Gold entity tags are derived by longest-match alignment of a subject's
 aliases against the tokenized question; ties break on earliest start,
 then lexicographically smaller alias, so ingestion is deterministic.
@@ -14,10 +21,11 @@ then lexicographically smaller alias, so ingestion is deterministic.
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .artifact import text_lines
+from .artifact import text_lines, undecodable
 from .errors import IntegrityError, ParseError, TaggingError
 from .textproc import tokenize
 
@@ -45,19 +53,36 @@ class Fact:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Facts plus normalized alias strings per entity.
+    """Facts as three same-length columns, plus normalized alias strings
+    per entity.
 
-    Aliases are stored as tuples in first-appearance order (duplicates
-    removed) so every iteration over them is reproducible.
+    Fact i is (subjects[i], relations[i], objects[i]), in file order; no
+    object is made per fact.  Aliases are stored as tuples in
+    first-appearance order (duplicates removed) so every iteration over
+    them is reproducible.
     """
 
-    facts: tuple[Fact, ...]
+    subjects: list[str]
+    relations: list[str]
+    objects: list[str]
     aliases: dict[str, tuple[str, ...]]
+
+    @classmethod
+    def from_facts(cls, facts, aliases: dict[str, tuple[str, ...]]) -> "KnowledgeBase":
+        """A KB of the given Facts, in order, and aliases."""
+        facts = tuple(facts)
+        return cls([f.subject for f in facts], [f.relation for f in facts],
+                   [f.object for f in facts], aliases)
+
+    @property
+    def facts(self) -> tuple[Fact, ...]:
+        """The facts as Fact objects, made on each read."""
+        return tuple(map(Fact, self.subjects, self.relations, self.objects))
 
     @cached_property
     def entities(self) -> list[str]:
         """Every entity with an alias or a fact, in name order (a KB never changes)."""
-        return sorted(set(self.aliases).union(fact.subject for fact in self.facts))
+        return sorted(set(self.aliases).union(self.subjects))
 
 
 @dataclass(frozen=True)
@@ -94,8 +119,10 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def _read_fields(path: str, n_fields: int):
-    """Yield (line_no, fields) for non-empty lines, enforcing field count."""
+def _read_fields(path: str, n_fields: int, check=None):
+    """Yield (line_no, fields) for non-empty lines, enforcing the field
+    count, no empty field and, if given, check(fields): the message of a
+    bad row's ParseError, or None."""
     for line_no, raw in text_lines(path):
         line = raw.rstrip("\n")
         if not line:
@@ -107,27 +134,61 @@ def _read_fields(path: str, n_fields: int):
             )
         if "" in fields:
             raise ParseError(path, line_no, "empty field")
+        if check and (message := check(fields)):
+            raise ParseError(path, line_no, message)
         yield line_no, fields
+
+
+def _columns(path: str, n_fields: int, check=None) -> list[list[str]]:
+    """The n_fields columns of a TSV file's non-empty lines.  The file is
+    read whole and split as one flat list of fields; only a file with a
+    defect (or an empty one) is read again through _read_fields, line by
+    line, so that its ParseError names the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()  # text mode ends lines at \r\n, \r and \n
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    lines = list(filter(None, text.split("\n")))
+    flat = "\t".join(lines).split("\t")
+    tabs = n_fields - 1
+    if not all(map(tabs.__eq__, map(str.count, lines, repeat("\t")))) or "" in flat:
+        flat = [field for _, fields in _read_fields(path, n_fields, check) for field in fields]
+    return [flat[i::n_fields] for i in range(n_fields)]
+
+
+def _normalize(alias_text: str) -> str:
+    """" ".join(tokenize(alias_text)), with a shortcut for pieces that are
+    all alphanumeric once lowercased."""
+    pieces = alias_text.lower().split()
+    if "".join(pieces).isalnum():
+        return " ".join(pieces)
+    return " ".join(tokenize(alias_text))
+
+
+def _empty_alias(fields: list[str]) -> str | None:
+    """The error of an alias row whose text normalizes to nothing."""
+    if _normalize(fields[1]):
+        return None
+    return f"alias for {fields[0]!r} is empty after normalization"
 
 
 def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
     """Load a knowledge base; every fact subject must have an alias."""
-    facts = tuple(
-        Fact(s, r, o) for _, (s, r, o) in _read_fields(facts_path, 3)
-    )
+    subjects, relations, objects = _columns(facts_path, 3)
+    entities, alias_texts = _columns(aliases_path, 2, _empty_alias)
+    normalized = list(map(_normalize, alias_texts))
+    if "" in normalized:
+        # only this error path reads the file again, and raises at the alias's line
+        list(_read_fields(aliases_path, 2, _empty_alias))
 
     aliases: dict[str, tuple[str, ...]] = {}
-    for line_no, (entity, alias_text) in _read_fields(aliases_path, 2):
-        normalized = " ".join(tokenize(alias_text))
-        if not normalized:
-            raise ParseError(
-                aliases_path, line_no, f"alias for {entity!r} is empty after normalization"
-            )
+    for entity, alias in zip(entities, normalized):
         bucket = aliases.get(entity, ())
-        if normalized not in bucket:
-            aliases[entity] = (*bucket, normalized)
+        if alias not in bucket:
+            aliases[entity] = (*bucket, alias)
 
-    if any(fact.subject not in aliases for fact in facts):
+    if not aliases.keys() >= set(subjects):
         # only this error path reads the file again, for the fact's line
         line_no, subject = next(
             (n, s) for n, (s, _, _) in _read_fields(facts_path, 3) if s not in aliases
@@ -135,7 +196,7 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
         raise IntegrityError(
             f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
         )
-    return KnowledgeBase(facts, aliases)
+    return KnowledgeBase(subjects, relations, objects, aliases)
 
 
 def derive_gold_tags(tokens: list[str] | tuple[str, ...], aliases) -> list[int]:

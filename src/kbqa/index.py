@@ -11,14 +11,20 @@ keeps one posting per (n-gram, entity).  Query scoring sums those
 weights over the phrase's n-grams, so multi-gram overlap is rewarded
 while duplicated aliases cannot inflate a single gram's contribution.
 
-The build makes one pass over the documents in rank order and appends
-each one's n-grams to one flat stream; it keeps no container per
+The build joins the documents, in rank order, into one flat token list
+and keeps each token's document id (`np.repeat`).  The unigrams are the
+tokens; a bigram or trigram starts wherever the tokens it spans share a
+document, so every n-gram comes from one pass with no call per
 document.  The rest is numpy: every occurrence becomes the id of its
 n-gram in sorted order, `np.unique` over (n-gram, document) keys counts
-each pair, `np.bincount` gives df, idf is `math.log` once per distinct
-df, and `np.maximum.reduceat` keeps each entity's best weight.  These
-are the IEEE operations a loop over dicts performs, so the arrays, and
-the saved file, are bit-identical to that loop's.
+each pair (so the order of the occurrences does not matter),
+`np.bincount` gives df and each document's n-gram total, idf is
+`math.log` once per distinct df, and `np.maximum.reduceat` keeps each
+entity's best weight.  These are the IEEE operations a loop over dicts
+performs, so the arrays, and the saved file, are bit-identical to that
+loop's.  The reachability index is built from the KB's fact columns:
+subjects become ranks and relations ids (`map` over a dict), and a
+stable `argsort` by rank with `np.bincount` groups them.
 
 Both indexes are flat sequences over one sorted list of entity names, so
 an entity's rank is its place in name order.  The postings of grams[g]
@@ -54,9 +60,11 @@ within a row, weights that are not finite and positive.  `QAIDX 1` and
 
 import math
 import operator
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -129,17 +137,20 @@ class EntityIndex:
 
     __eq__ = _equal
 
-    @cached_property
-    def row(self) -> dict[str, int]:
-        """n-gram -> its row of offsets."""
-        return _positions(self.grams)
+    def row(self, gram: str) -> int | None:
+        """The row of offsets that holds gram's postings, or None."""
+        g = bisect_left(self.grams, gram)
+        return g if g < len(self.grams) and self.grams[g] == gram else None
 
     @cached_property
     def postings(self) -> Mapping[str, tuple[tuple[str, float], ...]]:
         """n-gram -> ((entity, weight), ...) sorted by entity, read-only."""
 
         def lookup(gram):
-            span = slice(*self.offsets[self.row[gram] :][:2])
+            g = self.row(gram)
+            if g is None:
+                raise KeyError(gram)
+            span = slice(*self.offsets[g : g + 2])
             return tuple(zip([self.names[r] for r in self.entities[span].tolist()],
                              self.weights[span].tolist()))
 
@@ -189,32 +200,35 @@ def build_entity_index(kb: KnowledgeBase) -> EntityIndex:
     """Index every (entity, alias) document by its 1..3-grams with TF-IDF
     weights, keeping each entity's best weight per n-gram."""
     names = kb.entities  # the ranks both indexes share
-    stream: list[str] = []  # every document's n-grams, document after document
-    sizes: list[int] = []  # n-grams per document
-    ranks: list[int] = []  # entity rank per document
-    for rank, entity in enumerate(names):
-        for alias in kb.aliases.get(entity, ()):
-            grams = ngrams(alias.split(" "), MAX_NGRAM)
-            stream += grams
-            sizes.append(len(grams))
-            ranks.append(rank)
-    n_docs = len(sizes)
+    per_entity = list(map(kb.aliases.get, names, repeat(())))
+    docs = list(chain.from_iterable(per_entity))  # in rank order
+    n_docs = len(docs)
     if not n_docs:
         raise IntegrityError("cannot build an entity index from a KB with no aliases")
+    ranks = np.repeat(np.arange(len(names)), list(map(len, per_entity)))
+
+    tokens = " ".join(docs).split(" ")
+    token_doc = np.repeat(np.arange(n_docs), [doc.count(" ") + 1 for doc in docs])
+    stream, stream_docs = list(tokens), [token_doc]  # every n-gram and its document
+    for n in range(2, MAX_NGRAM + 1):
+        # an n-gram starts at each token whose document holds the n - 1 after it
+        at = np.flatnonzero(token_doc[n - 1 :] == token_doc[: len(tokens) - n + 1])
+        stream += [" ".join(tokens[i : i + n]) for i in at.tolist()]
+        stream_docs.append(token_doc[at])
+    doc_of = np.concatenate(stream_docs)
 
     grams = sorted(set(stream))
     gram_of = np.fromiter(map(_positions(grams).__getitem__, stream), np.int64, len(stream))
-    doc_of = np.repeat(np.arange(n_docs), sizes)
     # one (n-gram, document) pair per distinct key, n-gram major
     pairs, counts = np.unique(gram_of * n_docs + doc_of, return_counts=True)
     gram, doc = np.divmod(pairs, n_docs)
     dfs, df_row = np.unique(np.bincount(gram, minlength=len(grams)), return_inverse=True)
     idf = np.array([math.log((1 + n_docs) / (1 + df)) + 1.0 for df in dfs.tolist()])
-    weights = (counts / np.array(sizes)[doc]) * idf[df_row][gram]
+    weights = (counts / np.bincount(doc_of, minlength=n_docs)[doc]) * idf[df_row][gram]
 
     # documents come in rank order, so the pairs are sorted by (n-gram, rank)
     # and each run of equal pairs is one posting
-    rank = np.array(ranks)[doc]
+    rank = ranks[doc]
     first = np.ones(len(pairs), bool)
     first[1:] = (gram[1:] != gram[:-1]) | (rank[1:] != rank[:-1])
     starts = np.flatnonzero(first)
@@ -228,7 +242,7 @@ def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
     the entity's weight for that n-gram."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rows = np.array([r for r in map(idx.row.get, ngrams(list(phrase_tokens), MAX_NGRAM))
+    rows = np.array([r for r in map(idx.row, ngrams(list(phrase_tokens), MAX_NGRAM))
                      if r is not None], dtype=np.intp)
     if not len(rows):
         return CandidateSet(idx.entities[:0], idx.weights[:0])
@@ -253,16 +267,16 @@ def query_entity_index(idx: EntityIndex, phrase_tokens, k: int) -> CandidateSet:
 def build_reach_index(kb: KnowledgeBase) -> ReachIndex:
     """Group facts by subject, preserving input order (duplicates retained)."""
     names = kb.entities
-    rank = _positions(names)
-    relation_names = sorted({fact.relation for fact in kb.facts})
-    relation_id = _positions(relation_names)
-    subjects = np.array([rank[fact.subject] for fact in kb.facts], np.int64)
+    relation_names = sorted(set(kb.relations))
+    n = len(kb.subjects)
+    subjects = np.fromiter(map(_positions(names).__getitem__, kb.subjects), np.int64, n)
+    relations = np.fromiter(map(_positions(relation_names).__getitem__, kb.relations),
+                            np.int64, n)
     # a stable sort keeps each subject's facts in source order
-    facts = [kb.facts[i] for i in np.argsort(subjects, kind="stable").tolist()]
+    order = np.argsort(subjects, kind="stable")
     counts = np.bincount(subjects, minlength=len(names))
-    return ReachIndex(names, [0, *np.cumsum(counts).tolist()],
-                      relation_names, [relation_id[fact.relation] for fact in facts],
-                      [fact.object for fact in facts])
+    return ReachIndex(names, [0, *np.cumsum(counts).tolist()], relation_names,
+                      relations[order].tolist(), list(map(kb.objects.__getitem__, order.tolist())))
 
 
 def query_reach(idx: ReachIndex, candidates: CandidateSet, relation: str) -> list[AnswerCandidate]:

@@ -126,7 +126,7 @@ def entity_template_corpus(
         for i in range(len(names))
         for rel in relations
     )
-    kb = KnowledgeBase(facts, aliases)
+    kb = KnowledgeBase.from_facts(facts, aliases)
 
     questions = []
     for i in range(n):

@@ -250,7 +250,7 @@ def load_facts_reference(facts_path: str, aliases_path: str) -> KnowledgeBase:
             raise IntegrityError(
                 f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
             )
-    return KnowledgeBase(facts, {e: tuple(a) for e, a in aliases.items()})
+    return KnowledgeBase.from_facts(facts, {e: tuple(a) for e, a in aliases.items()})
 
 
 # -- retrieval oracles ---------------------------------------------------------
@@ -450,7 +450,7 @@ def random_kb(rng: np.random.Generator, max_aliases: int = 100, max_facts: int =
         )
         for _ in range(n_facts)
     )
-    return KnowledgeBase(facts, aliases)
+    return KnowledgeBase.from_facts(facts, aliases)
 
 
 def random_phrase(rng: np.random.Generator, max_len: int = 4):

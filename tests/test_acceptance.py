@@ -290,7 +290,7 @@ def test_criterion_8_metric_conformance():
     exhaustive over the four combinations on a toy KB."""
     from kbqa.corpus import Fact, KnowledgeBase
 
-    kb = KnowledgeBase(
+    kb = KnowledgeBase.from_facts(
         (Fact("e1", "bornOn", "1956"), Fact("e2", "bornOn", "1962")),
         {"e1": ("tom hanks",), "e2": ("tom cruise",)},
     )

@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -657,6 +660,30 @@ class TestDataFileErrors:
                        "--out", str(tmp_path / "kb.qaidx"))
         assert code == 1
         assert f"{facts}:5: fact subject 'e9'" in capsys.readouterr().err
+
+
+class TestNotARegularFile:
+    """A directory where a file is read exits 1 with an error naming the
+    flag's file kind and the path, not a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("build-index", "--facts", "{dir}", "--aliases", "{dir}/aliases.tsv",
+          "--out", "{dir}/kb.qaidx"), "facts file is not a regular file: {dir}"),
+        (("ask", "--question", "how old is tom hanks", "--index", "{dir}",
+          "--entity-model", "{dir}/e.qam", "--relation-model", "{dir}/r.qam"),
+         "index file is not a regular file: {dir}"),
+    ])
+    def test_directory(self, toy_files, argv, message):
+        folder = str(toy_files[0].parent)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "kbqa.cli", *(a.format(dir=folder) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert message.format(dir=folder) in result.stderr
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kbqa import corpus
 from kbqa.corpus import (
     derive_gold_tags,
     load_embeddings,
@@ -63,6 +64,20 @@ class TestLoadFacts:
             load_facts(str(tmp_path / "f.tsv"), str(tmp_path / "a.tsv"))
         assert (err.value.path, err.value.line_no) == (str(tmp_path / bad), line_no)
 
+    @pytest.mark.parametrize("facts_text, aliases_text, bad, line_no", [
+        ("e1\tbornOn\t1956\tx\ne1\tbornOn\n", "e1\tTom\n", "f.tsv", 1),
+        ("e1\tbornOn\t1956\n", "e1\tTom\n\ne1\ne1\tTim\tTom\n", "a.tsv", 3),
+    ])
+    def test_field_counts_that_cancel_out(self, tmp_path, facts_text, aliases_text, bad, line_no):
+        """One row too long and one too short hold as many fields as two
+        good rows; the first of them is still named."""
+        (tmp_path / "f.tsv").write_text(facts_text)
+        (tmp_path / "a.tsv").write_text(aliases_text)
+        for load in (load_facts, load_facts_reference):
+            with pytest.raises(ParseError, match="tab-separated fields") as err:
+                load(str(tmp_path / "f.tsv"), str(tmp_path / "a.tsv"))
+            assert (err.value.path, err.value.line_no) == (str(tmp_path / bad), line_no)
+
     def test_subject_without_alias(self, tmp_path):
         facts = tmp_path / "f.tsv"
         aliases = tmp_path / "a.tsv"
@@ -96,6 +111,77 @@ class TestLoadFacts:
         assert {e: set(a) for e, a in reloaded.aliases.items()} == {
             e: set(a) for e, a in toy_kb.aliases.items()
         }
+
+
+READER_FACTS = "e1\tbornOn\t1956\ne1\tstarredIn\tm1\ne2\tbornOn\t1962\ne3\tbornOn\t1970\n"
+READER_ALIASES = ("e1\tTom  Hanks!\ne1\t\"Tom\"   Hanks\ne1\tO'Brien, Jr.\ne2\tİstanbul\n"
+                  "e2\tΟΔΥΣΣΕΥΣ\ne3\t(Spider-Man)\ne3\tspider man 2\ne3\tSpider\u2028Man\x0c3\n")
+# how each case rewrites both files, and the line that a bad row inserted
+# after the first row lands on
+READER_CASES = {
+    "lf": (lambda text: text, 2),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), 2),
+    "lone_cr": (lambda text: text.replace("\n", "\r"), 2),
+    "no_final_newline": (lambda text: text[:-1], 2),
+    "blank_lines": (lambda text: "\n" + text.replace("\n", "\n\n\n"), 5),
+    "bom": (lambda text: "\ufeff" + text, 2),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_whole_file_reader_agrees_with_the_line_reader(tmp_path, monkeypatch, case):
+    """load_facts gives the reference loader's facts and aliases across line
+    ends, blank lines, a BOM and alias text that takes tokenize's slow
+    path, without reading a file line by line; a bad row inserted after
+    the first row sends that file to the line by line reader, whose
+    ParseError names the row's line."""
+    rewrite, bad_line = READER_CASES[case]
+    line_reads = []
+    read_fields = corpus._read_fields
+    monkeypatch.setattr(corpus, "_read_fields",
+                        lambda path, *args: line_reads.append(path) or read_fields(path, *args))
+    paths = {name: tmp_path / name for name in ("facts.tsv", "aliases.tsv")}
+
+    def write(facts_text, aliases_text):
+        for path, text in zip(paths.values(), (facts_text, aliases_text)):
+            path.write_bytes(rewrite(text).encode("utf-8"))
+        return str(paths["facts.tsv"]), str(paths["aliases.tsv"])
+
+    kb = load_facts(*write(READER_FACTS, READER_ALIASES))
+    assert line_reads == []
+    want = load_facts_reference(*write(READER_FACTS, READER_ALIASES))
+    assert list(zip(kb.subjects, kb.relations, kb.objects)) == [
+        (f.subject, f.relation, f.object) for f in want.facts]
+    assert list(kb.aliases.items()) == list(want.aliases.items())
+    # İ lowercases to i and a combining dot; a word-final sigma to ς
+    assert len(kb.subjects) == 4 and kb.aliases["e2"] == ("i\u0307stanbul", "οδυσσευς")
+
+    for name, bad_row in (("facts.tsv", "e4\tbornOn\n"), ("aliases.tsv", "e4\tx\ty\n")):
+        texts = {"facts.tsv": READER_FACTS, "aliases.tsv": READER_ALIASES}
+        first, rest = texts[name].split("\n", 1)
+        texts[name] = f"{first}\n{bad_row}{rest}"
+        for load in (load_facts, load_facts_reference):
+            with pytest.raises(ParseError, match="tab-separated fields") as err:
+                load(*write(texts["facts.tsv"], texts["aliases.tsv"]))
+            assert (err.value.path, err.value.line_no) == (str(paths[name]), bad_line)
+        assert line_reads == [str(paths[name])]
+        line_reads.clear()
+
+
+@pytest.mark.parametrize("aliases_text, line_no, message", [
+    ("e1\tTom\ne1\t?!\ne1\tx\ty\n", 2, "empty after normalization"),
+    ("e1\tTom\ne1\tx\ty\ne1\t?!\n", 2, "tab-separated fields"),
+    ("e1\tTom\n\ne1\t...\ne1\tTim\n", 3, "empty after normalization"),
+])
+def test_first_defect_in_the_aliases_is_the_one_named(tmp_path, aliases_text, line_no, message):
+    """An alias empty after normalization and a bad row: whichever comes
+    first is reported, as the line by line reference does."""
+    (tmp_path / "f.tsv").write_text("e1\tbornOn\t1956\n")
+    (tmp_path / "a.tsv").write_text(aliases_text)
+    for load in (load_facts, load_facts_reference):
+        with pytest.raises(ParseError, match=message) as err:
+            load(str(tmp_path / "f.tsv"), str(tmp_path / "a.tsv"))
+        assert err.value.line_no == line_no
 
 
 def damaged(data: bytes, values=b"\t\n\r x-\x00\xff"):

@@ -27,7 +27,7 @@ from oracles import evaluate_reference
 
 
 def kb_of(aliases, facts=()):
-    return KnowledgeBase(tuple(Fact(*f) for f in facts), aliases)
+    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
 
 
 TOY_KB = kb_of(

@@ -32,7 +32,7 @@ from oracles import (
 
 
 def kb_of(aliases: dict, facts=()) -> KnowledgeBase:
-    return KnowledgeBase(tuple(Fact(*f) for f in facts), aliases)
+    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
 
 
 THREE_ALIAS_KB = kb_of(
@@ -67,8 +67,15 @@ class TestBuildEntityIndex:
         assert idx.postings["a"] == (("e1", 1.0),)
 
     def test_absent_gram_has_no_posting(self):
+        """A gram before the first, between two, or after the last sorted
+        gram is a miss: no row, no posting, and a KeyError on lookup."""
         idx = build_entity_index(THREE_ALIAS_KB)
-        assert "zzz" not in idx.postings
+        for gram in ("", "hank", "tom c", "zzz"):
+            assert idx.row(gram) is None
+            assert gram not in idx.postings and idx.postings.get(gram, ()) == ()
+            with pytest.raises(KeyError):
+                idx.postings[gram]
+        assert [idx.row(gram) for gram in idx.grams] == list(range(len(idx.grams)))
 
     def test_empty_kb_rejected(self):
         with pytest.raises(IntegrityError):
@@ -134,6 +141,14 @@ class TestBuildsMatchReference:
 
     def test_one_token_and_long_aliases(self):
         self.check(kb_of({"e1": ("a",), "e2": ("a b c d",), "e3": ("b c d e f g", "a")}))
+
+    def test_aliases_of_one_to_six_tokens_and_empty_tokens(self):
+        """Every alias length from 1 to 6, n-grams repeated inside one alias,
+        and spaces that leave a token empty (double, leading, trailing)."""
+        words = "new york city of the north".split()
+        self.check(kb_of({f"e{n}": (" ".join(words[:n]), " ".join(words[-n:])) for n in range(1, 7)}
+                         | {"f": ("new york new york", "york york york"),
+                            "g": ("tom  hanks", " new york", "york ", "a  b  c")}))
 
     def test_both_builds_share_one_names_list(self):
         """The KB sorts its entity names once, and both indexes rank by them."""

@@ -14,7 +14,7 @@ from oracles import brute_answer, random_kb, random_phrase
 
 
 def kb_of(aliases, facts=()):
-    return KnowledgeBase(tuple(Fact(*f) for f in facts), aliases)
+    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
 
 
 class OracleEntityModel:

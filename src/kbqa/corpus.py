@@ -157,18 +157,9 @@ def _columns(path: str, n_fields: int, check=None) -> list[list[str]]:
     return [flat[i::n_fields] for i in range(n_fields)]
 
 
-def _normalize(alias_text: str) -> str:
-    """" ".join(tokenize(alias_text)), with a shortcut for pieces that are
-    all alphanumeric once lowercased."""
-    pieces = alias_text.lower().split()
-    if "".join(pieces).isalnum():
-        return " ".join(pieces)
-    return " ".join(tokenize(alias_text))
-
-
 def _empty_alias(fields: list[str]) -> str | None:
     """The error of an alias row whose text normalizes to nothing."""
-    if _normalize(fields[1]):
+    if tokenize(fields[1]):
         return None
     return f"alias for {fields[0]!r} is empty after normalization"
 
@@ -177,7 +168,7 @@ def load_facts(facts_path: str, aliases_path: str) -> KnowledgeBase:
     """Load a knowledge base; every fact subject must have an alias."""
     subjects, relations, objects = _columns(facts_path, 3)
     entities, alias_texts = _columns(aliases_path, 2, _empty_alias)
-    normalized = list(map(_normalize, alias_texts))
+    normalized = [" ".join(tokenize(text)) for text in alias_texts]
     if "" in normalized:
         # only this error path reads the file again, and raises at the alias's line
         list(_read_fields(aliases_path, 2, _empty_alias))

@@ -184,6 +184,27 @@ def test_first_defect_in_the_aliases_is_the_one_named(tmp_path, aliases_text, li
         assert err.value.line_no == line_no
 
 
+def test_undecodable_byte_is_named_before_an_earlier_field_defect(tmp_path):
+    """load_facts decodes a file whole before it splits any row, so in a
+    file longer than one read chunk a byte that is not UTF-8 near the end
+    is named at its own line ahead of a wrong field count on line 2; the
+    reference streams the file and names line 2."""
+    rows = [f"e{i}\tbornOn\t{1900 + i % 100}\n" for i in range(1000)]
+    rows[1] = "e1\tbornOn\n"
+    rows[-1] = "e999\tbornOn\t\xff\n"
+    data = "".join(rows).encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+    assert len(data) > 8192
+    (tmp_path / "f.tsv").write_bytes(data)
+    (tmp_path / "a.tsv").write_text("".join(f"e{i}\tE{i}\n" for i in range(1000)))
+    paths = str(tmp_path / "f.tsv"), str(tmp_path / "a.tsv")
+    with pytest.raises(ParseError, match="UTF-8") as err:
+        load_facts(*paths)
+    assert (err.value.path, err.value.line_no) == (paths[0], 1000)
+    with pytest.raises(ParseError, match="tab-separated fields") as err:
+        load_facts_reference(*paths)
+    assert (err.value.path, err.value.line_no) == (paths[0], 2)
+
+
 def damaged(data: bytes, values=b"\t\n\r x-\x00\xff"):
     """(kind, first damaged line, bytes) for every single-byte set, insert
     and delete of data, with each of values, and every truncation."""

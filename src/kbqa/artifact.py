@@ -46,9 +46,9 @@ def undecodable(path: str) -> ParseError:
 
 
 def text_lines(path: str):
-    """Yield (line_no, line) for a UTF-8 text file, streaming; a line
-    that is not UTF-8 raises ParseError(path, line)."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line_no, line) for a UTF-8 text file, streaming, without a
+    leading BOM; a line that is not UTF-8 raises ParseError(path, line)."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError:

@@ -140,12 +140,13 @@ def _read_fields(path: str, n_fields: int, check=None):
 
 
 def _columns(path: str, n_fields: int, check=None) -> list[list[str]]:
-    """The n_fields columns of a TSV file's non-empty lines.  The file is
-    read whole and split as one flat list of fields; only a file with a
-    defect (or an empty one) is read again through _read_fields, line by
-    line, so that its ParseError names the line."""
+    """The n_fields columns of a TSV file's non-empty lines, without a
+    leading BOM.  The file is read whole and split as one flat list of
+    fields; only a file with a defect (or an empty one) is read again
+    through _read_fields, line by line, so that its ParseError names the
+    line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()  # text mode ends lines at \r\n, \r and \n
     except UnicodeDecodeError:
         raise undecodable(path) from None

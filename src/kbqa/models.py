@@ -220,6 +220,7 @@ class NeuralSequenceModel:
         self.seed = seed
         self.l1_activity = 0.0
         self._dropout_rng = None  # the seed's "dropout" stream, from the first training pass
+        self.grad = None  # from the last loss_and_grads
         self.layout = param_layout(descriptor, len(vocab), dim, len(label_space or ()))
         if theta.shape != (layout_size(self.layout),):
             raise ValueError(f"theta must hold the layout's {layout_size(self.layout)} values")
@@ -263,15 +264,18 @@ class NeuralSequenceModel:
 
     # -- parameter plumbing ------------------------------------------------
 
+    def _trainable(self) -> tuple[np.ndarray, list]:
+        """theta's trainable suffix and its layout: all of theta but
+        embedding.E while that is frozen."""
+        layout = self.layout[0 if self.embedding.trainable else 1 :]
+        return self.theta[self.theta.size - layout_size(layout) :], layout
+
     def trainable_params(self) -> dict[str, np.ndarray]:
-        """Views of theta by name, without embedding.E while it is frozen."""
-        params = self.all_params()
-        if not self.embedding.trainable:
-            del params["embedding.E"]
-        return params
+        """Views of theta's trainable suffix by name."""
+        return carve(*self._trainable())
 
     def trainable_param_count(self) -> int:
-        return sum(arr.size for arr in self.trainable_params().values())
+        return self._trainable()[0].size
 
     def all_params(self) -> dict[str, np.ndarray]:
         return carve(self.theta, self.layout)
@@ -334,11 +338,12 @@ class NeuralSequenceModel:
         return float(value + self.l1_activity * total / count), count
 
     def loss_and_grads(self, batch, training: bool = False):
-        """Mean cross-entropy plus L1 activity penalty; exact gradients."""
+        """Mean cross-entropy plus L1 activity penalty, and its exact gradient
+        by name: views of self.grad, made anew for theta's trainable suffix."""
         ids, mask, targets = batch
-        layout = self.layout[0 if self.embedding.trainable else 1 :]  # theta's trainable suffix
-        grads = np.zeros(layout_size(layout))
-        for name, block in _layer_blocks(grads, layout).items():
+        theta, layout = self._trainable()
+        self.grad = np.zeros(theta.size)
+        for name, block in _layer_blocks(self.grad, layout).items():
             self._layers[name].use_grads(block)
         seq_outs, last_drop, logits = self._forward(ids, mask, training)
         total, act_count = self._objective(seq_outs, logits, mask, targets)
@@ -378,7 +383,7 @@ class NeuralSequenceModel:
             d = self.conv.backward(self.drops[0].backward(d))
         self.embedding.backward(d)
 
-        return total, carve(grads, layout)
+        return total, carve(self.grad, layout)
 
     def loss(self, batch) -> float:
         ids, mask, targets = batch
@@ -718,6 +723,7 @@ def train(
     valid_inputs = _model_inputs(model, [q.tokens for q in valid_set], lexicon)
     shuffle_rng = rng_for(config.seed, "shuffle")
     n = len(examples)
+    theta = model._trainable()[0]
     log: list[EpochStats] = []
     best_acc = -1.0
     best_theta = None
@@ -727,8 +733,8 @@ def train(
         for start in range(0, n, config.batch_size):
             indices = order[start : start + config.batch_size]
             batch = _batch(model, [examples[i] for i in indices])
-            loss, grads = model.loss_and_grads(batch, training=True)
-            optimizer.step(model.trainable_params(), grads)
+            loss, _ = model.loss_and_grads(batch, training=True)
+            optimizer.step(theta, model.grad)
             total_loss += loss * len(indices)
         val_acc = _valid_accuracy(model, valid_set, valid_inputs)
         log.append(EpochStats(epoch, total_loss / n, val_acc))

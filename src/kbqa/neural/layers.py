@@ -21,10 +21,10 @@ U_z, b_z, W_r, ... for the GRU (k = 3 gates z, r, h) and W_i, U_i, b_i,
 U [k, H, H] and b [k, H], strided views of the block whose gate axis
 steps over one gate's W, U and b, and dW, dU, db likewise from the grads
 block.  Every params and grads entry is a C-contiguous writable view, so
-in-place writes reach the arrays the kernel reads: the optimizer's `p -=
-...` and finite-difference checks writing through `arr.reshape(-1)`.  A
-model hands each layer its run of the model's one parameter vector; a
-layer built alone owns its block.
+in-place writes reach the arrays the kernel reads: the optimizer's step
+on the model's whole parameter vector and finite-difference checks
+writing through `arr.reshape(-1)`.  A model hands each layer its run of
+that one vector as the layer's block.
 
 The forward pass projects every step's input with one GEMM, then runs
 one recurrent GEMM per step (two for the GRU, whose candidate reads
@@ -103,13 +103,9 @@ def carve(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
 
 
 class _ParamLayer:
-    """A layer whose params are views of one flat float64 block.  A layer
-    built alone owns its block: zeros, or one uniform draw from rng."""
+    """A layer whose params are views of one flat float64 block."""
 
-    def __init__(self, layout, block, rng=None, init_scale=0.0):
-        if block is None:
-            size = layout_size(layout)
-            block = np.zeros(size) if rng is None else rng.uniform(-init_scale, init_scale, size)
+    def __init__(self, layout, block):
         self.layout = layout
         self.block = block
         self.params = carve(block, layout)
@@ -153,14 +149,13 @@ class RecurrentDirection(_ParamLayer):
     docstring for the parameter layout)."""
 
     def __init__(self, kind: str, input_dim: int, hidden_dim: int, reverse: bool,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
-                 *, block: np.ndarray | None = None):
+                 block: np.ndarray):
         layout = self.shapes(kind, input_dim, hidden_dim)  # raises for an unknown kind
         self.kind = kind
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.reverse = reverse
-        super().__init__(layout, block, rng, init_scale)
+        super().__init__(layout, block)
         self.W, self.U, self.b = self._fused(self.block)
 
     @staticmethod
@@ -312,15 +307,11 @@ class BidirectionalLayer:
     each direction.
     """
 
-    def __init__(self, kind: str, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
-                 *, block: np.ndarray | None = None):
+    def __init__(self, kind: str, input_dim: int, hidden_dim: int, block: np.ndarray):
         self.kind = kind
         self.hidden_dim = hidden_dim
-        halves = (None, None) if block is None else np.split(block, 2)
-        self.fwd, self.bwd = (RecurrentDirection(kind, input_dim, hidden_dim, reverse, rng,
-                                                 init_scale, block=half)
-                              for reverse, half in zip((False, True), halves))
+        self.fwd, self.bwd = (RecurrentDirection(kind, input_dim, hidden_dim, reverse, half)
+                              for reverse, half in zip((False, True), np.split(block, 2)))
 
     @property
     def output_dim(self) -> int:
@@ -360,10 +351,8 @@ class BidirectionalLayer:
 class Conv1dLayer(_ParamLayer):
     """Causal same-length 1-D convolution (left zero pad) with ReLU."""
 
-    def __init__(self, n_filters: int, width: int, input_dim: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
-                 *, block: np.ndarray | None = None):
-        super().__init__(self.shapes(n_filters, width, input_dim), block, rng, init_scale)
+    def __init__(self, n_filters: int, width: int, input_dim: int, block: np.ndarray):
+        super().__init__(self.shapes(n_filters, width, input_dim), block)
         self.n_filters = n_filters
         self.width = width
         self.input_dim = input_dim
@@ -401,10 +390,8 @@ class Conv1dLayer(_ParamLayer):
 class DenseLayer(_ParamLayer):
     """Affine map to class logits; weights are [classes, hidden]."""
 
-    def __init__(self, input_dim: int, n_classes: int,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.08,
-                 *, block: np.ndarray | None = None):
-        super().__init__(self.shapes(input_dim, n_classes), block, rng, init_scale)
+    def __init__(self, input_dim: int, n_classes: int, block: np.ndarray):
+        super().__init__(self.shapes(input_dim, n_classes), block)
         self.input_dim = input_dim
         self.n_classes = n_classes
 

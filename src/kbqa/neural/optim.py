@@ -1,5 +1,8 @@
 """Parameter update rules: plain SGD and the two Adam weight-decay variants.
 
+A step updates one float64 vector in place from a gradient vector of the
+same shape: in training, a model's trainable suffix of theta and its grad.
+
 ADAM_COUPLED folds weight decay into the gradient before the moment
 estimates (the historically common mis-implementation of decay); with
 decay 0 it is exactly standard Adam.  ADAM_DECOUPLED applies decay
@@ -26,17 +29,17 @@ class Optimizer:
         self.learning_rate = learning_rate
         self.step_count = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update theta in place from grad, a vector of the same shape."""
         raise NotImplementedError
 
 
 class SGD(Optimizer):
     kind = "SGD"
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
         self.step_count += 1
-        for name, p in params.items():
-            p -= self.learning_rate * grads[name]
+        theta -= self.learning_rate * grad
 
 
 class Adam(Optimizer):
@@ -47,31 +50,27 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.kind = "ADAM_DECOUPLED" if decoupled else "ADAM_COUPLED"
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = self._v = None  # the moment vectors, made on the first step
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - _BETA1**t
         bias2 = 1.0 - _BETA2**t
-        for name, p in params.items():
-            g = grads[name]
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m = self._m[name]
-            v = self._v[name]
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + _EPSILON)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p
-            p -= self.learning_rate * update
+        if self.weight_decay and not self.decoupled:
+            grad = grad + self.weight_decay * theta
+        if self._m is None:
+            self._m = np.zeros_like(theta)
+            self._v = np.zeros_like(theta)
+        m, v = self._m, self._v
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * grad * grad
+        update = (m / bias1) / (np.sqrt(v / bias2) + _EPSILON)
+        if self.weight_decay and self.decoupled:
+            update = update + self.weight_decay * theta
+        theta -= self.learning_rate * update
 
 
 def make_optimizer(kind: str, learning_rate: float, **kwargs) -> Optimizer:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from kbqa.neural import BidirectionalLayer, RecurrentDirection
+from kbqa.neural.layers import layout_size
+
 TOY_FACTS = (
     "e1\tbornOn\t1956\n"
     "e1\tstarredIn\tm1\n"
@@ -85,3 +88,17 @@ def fix_tagger(model, tag: int) -> None:
     dense head ignores its input and its bias favours `tag`."""
     model.dense.params["W"][:] = 0.0
     model.dense.params["b"][:] = np.eye(2)[tag]
+
+
+def standalone(layer_cls, *args, rng=None, init_scale=0.08):
+    """layer_cls(*args) over a parameter block of its own: zeros, or one
+    rng.uniform(-init_scale, init_scale, n) draw per recurrent direction
+    (the forward direction first) or for the whole layer."""
+    if layer_cls in (RecurrentDirection, BidirectionalLayer):
+        sizes = [layout_size(RecurrentDirection.shapes(*args[:3]))]
+        sizes *= 2 if layer_cls is BidirectionalLayer else 1
+    else:
+        sizes = [layout_size(layer_cls.shapes(*args))]
+    block = np.concatenate([np.zeros(n) if rng is None else rng.uniform(-init_scale, init_scale, n)
+                            for n in sizes])
+    return layer_cls(*args, block)

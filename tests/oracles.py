@@ -16,6 +16,8 @@ from kbqa.errors import IntegrityError, ParseError
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
 from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet, EntityIndex, ReachIndex
 from kbqa.models import TagPrediction
+from kbqa.neural import SGD, Adam
+from kbqa.neural.layers import carve
 from kbqa.pipeline import build_structured_query
 from kbqa.textproc import ngrams, noun_chunk_filter, pos_tag
 
@@ -196,6 +198,67 @@ def recurrent_reference(kind, params, x, mask, reverse, d_out):
         dx[:, t, :] = dx_t
         dh = dh_prev
     return out, dx, grads
+
+
+# -- optimizer references ------------------------------------------------------
+
+
+class _PerViewSGD(SGD):
+    """SGD.step over a model's named parameter views, one update per view."""
+
+    def step(self, params, grads):
+        self.step_count += 1
+        for name, p in params.items():
+            p -= self.learning_rate * grads[name]
+
+
+class _PerViewAdam(Adam):
+    """Adam.step over a model's named parameter views, with its moments in
+    dicts keyed by name."""
+
+    def step(self, params, grads):
+        if self._m is None:
+            self._m, self._v = {}, {}
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - 0.9**t
+        bias2 = 1.0 - 0.999**t
+        for name, p in params.items():
+            g = grads[name]
+            if self.weight_decay and not self.decoupled:
+                g = g + self.weight_decay * p
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            m = self._m[name]
+            v = self._v[name]
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+            if self.weight_decay and self.decoupled:
+                update = update + self.weight_decay * p
+            p -= self.learning_rate * update
+
+
+class PerViewOptimizer:
+    """An optimizer for train() that steps model's named views of theta
+    one by one: train hands it theta's trainable suffix and model.grad,
+    and it steps model.trainable_params() with grad cut into the same
+    views, as loss_and_grads returns them."""
+
+    def __init__(self, model, kind: str, learning_rate: float, weight_decay: float = 0.0):
+        self.model = model
+        if kind == "SGD":
+            self.inner = _PerViewSGD(learning_rate)
+        else:
+            self.inner = _PerViewAdam(learning_rate, weight_decay, kind == "ADAM_DECOUPLED")
+
+    def step(self, theta, grad):
+        assert np.shares_memory(theta, self.model.theta) and grad is self.model.grad
+        params = self.model.trainable_params()
+        self.inner.step(params, carve(grad, [(name, p.shape) for name, p in params.items()]))
 
 
 # -- ingestion references ------------------------------------------------------

@@ -155,6 +155,7 @@ def test_whole_file_reader_agrees_with_the_line_reader(tmp_path, monkeypatch, ca
     assert list(kb.aliases.items()) == list(want.aliases.items())
     # İ lowercases to i and a combining dot; a word-final sigma to ς
     assert len(kb.subjects) == 4 and kb.aliases["e2"] == ("i\u0307stanbul", "οδυσσευς")
+    assert kb.subjects[0] == "e1" and list(kb.aliases)[0] == "e1"  # no BOM in the first field
 
     for name, bad_row in (("facts.tsv", "e4\tbornOn\n"), ("aliases.tsv", "e4\tx\ty\n")):
         texts = {"facts.tsv": READER_FACTS, "aliases.tsv": READER_ALIASES}
@@ -166,6 +167,19 @@ def test_whole_file_reader_agrees_with_the_line_reader(tmp_path, monkeypatch, ca
             assert (err.value.path, err.value.line_no) == (str(paths[name]), bad_line)
         assert line_reads == [str(paths[name])]
         line_reads.clear()
+
+
+@pytest.mark.parametrize("bom_file", [0, 1, 2], ids=["facts", "aliases", "questions"])
+def test_a_bom_on_one_file_is_not_part_of_its_first_field(toy_files, bom_file):
+    """A file saved with a leading UTF-8 BOM (here only the facts, only the
+    aliases or only the questions) names the same first entity as files
+    saved without one."""
+    path = toy_files[bom_file]
+    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    facts, aliases, questions = map(str, toy_files)
+    kb = load_facts(facts, aliases)
+    assert kb.subjects[0] == "e1" and sorted(kb.aliases) == ["e1", "e2", "e3"]
+    assert load_questions(questions, kb)[0].gold_subject == "e1"
 
 
 @pytest.mark.parametrize("aliases_text, line_no, message", [

@@ -19,7 +19,9 @@ from kbqa.neural import (
     TrainConfig,
     grad_check,
 )
+from kbqa.neural.layers import carve
 
+from conftest import standalone
 from corpora import entity_template_corpus
 from oracles import conv1d_scalar, recurrent_reference, scalar_sequence
 
@@ -29,7 +31,7 @@ class TestBatchedAgreesWithFunctional:
 
     def test_gru_direction(self):
         rng = np.random.default_rng(10)
-        layer = RecurrentDirection("gru", 3, 4, reverse=False, rng=rng)
+        layer = standalone(RecurrentDirection, "gru", 3, 4, False, rng=rng)
         x = rng.normal(size=(1, 6, 3))
         out = layer.forward(x, np.ones((1, 6)))
         want, _ = scalar_sequence("gru", layer.params, x[0])
@@ -38,7 +40,7 @@ class TestBatchedAgreesWithFunctional:
 
     def test_lstm_direction(self):
         rng = np.random.default_rng(11)
-        layer = RecurrentDirection("lstm", 3, 4, reverse=False, rng=rng)
+        layer = standalone(RecurrentDirection, "lstm", 3, 4, False, rng=rng)
         x = rng.normal(size=(1, 5, 3))
         out = layer.forward(x, np.ones((1, 5)))
         want, _ = scalar_sequence("lstm", layer.params, x[0])
@@ -47,7 +49,7 @@ class TestBatchedAgreesWithFunctional:
 
     def test_bidirectional(self):
         rng = np.random.default_rng(12)
-        layer = BidirectionalLayer("gru", 3, 4, rng)
+        layer = standalone(BidirectionalLayer, "gru", 3, 4, rng=rng)
         x = rng.normal(size=(1, 5, 3))
         out = layer.forward(x, np.ones((1, 5)))
         fwd, _ = scalar_sequence("gru", layer.fwd.params, x[0])
@@ -57,7 +59,7 @@ class TestBatchedAgreesWithFunctional:
 
     def test_conv(self):
         rng = np.random.default_rng(13)
-        layer = Conv1dLayer(4, 2, 3, rng)
+        layer = standalone(Conv1dLayer, 4, 2, 3, rng=rng)
         x = rng.normal(size=(2, 5, 3))
         out = layer.forward(x)
         for b in range(2):
@@ -94,7 +96,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("b_size,hidden", [(1, 5), (1, 40), (5, 6)])
     def test_matches_per_gate_reference(self, kind, reverse, b_size, hidden):
         rng = np.random.default_rng(hidden + b_size)
-        layer = RecurrentDirection(kind, 4, hidden, reverse, rng, init_scale=0.5)
+        layer = standalone(RecurrentDirection, kind, 4, hidden, reverse, rng=rng, init_scale=0.5)
         x, mask = ragged_batch(rng, b_size, 7, 4)
         mask[-1, 1] = 0.0  # an interior pad step: state and gradients carry across it
         d_out = rng.normal(size=(b_size, 7, hidden))
@@ -112,7 +114,7 @@ class TestFusedKernel:
         """Each row of a ragged batch gives the outputs and dx of its own
         B=1 run over its real length; the batch gradients are their sum."""
         rng = np.random.default_rng(21)
-        layer = RecurrentDirection(kind, 3, 5, reverse, rng, init_scale=0.5)
+        layer = standalone(RecurrentDirection, kind, 3, 5, reverse, rng=rng, init_scale=0.5)
         x, mask = ragged_batch(rng, 4, 6, 3)
         d_out = rng.normal(size=(4, 6, 5)) * mask[:, :, None]
         out, dx, grads = run_layer(layer, x, mask, d_out)
@@ -132,7 +134,7 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_params_and_grads_are_writable_views(self, kind):
-        layer = RecurrentDirection(kind, 3, 4, False, np.random.default_rng(0))
+        layer = standalone(RecurrentDirection, kind, 3, 4, False, rng=np.random.default_rng(0))
         layer.use_grads(np.zeros(layer.block.size))
         names = [name for name, _ in layer.layout]
         for entries, fused in ((layer.params, (layer.W, layer.U, layer.b)),
@@ -147,11 +149,12 @@ class TestFusedKernel:
 
     def test_optimizer_and_load_update_fused_arrays(self, tmp_path):
         model, batch = build_check_model(suite_architectures()[0], seed=2)
-        params = model.trainable_params()
-        separate = {name: arr.copy() for name, arr in params.items()}
-        _, grads = model.loss_and_grads(batch)
-        Adam(0.01).step(params, grads)
-        Adam(0.01).step(separate, grads)
+        model.loss_and_grads(batch)
+        theta = model.theta[-model.grad.size :]  # the trainable suffix
+        separate = theta.copy()
+        Adam(0.01).step(theta, model.grad)
+        Adam(0.01).step(separate, model.grad)
+        separate = carve(separate, model.layout[1:])  # embedding.E is frozen
         layer = model.recurrents[1].bwd
         assert np.array_equal(layer.U[2], separate["rec1.bwd.U_o"])
         assert np.array_equal(layer.W[0], separate["rec1.bwd.W_i"])
@@ -174,7 +177,7 @@ class TestMasking:
         """States at real positions and the final representation must be
         unaffected by right padding."""
         rng = np.random.default_rng(14)
-        layer = BidirectionalLayer("lstm", 3, 4, rng)
+        layer = standalone(BidirectionalLayer, "lstm", 3, 4, rng=rng)
         x_real = rng.normal(size=(1, 3, 3))
         out_real = layer.forward(x_real, np.ones((1, 3)))
         final_real = BidirectionalLayer.final_state(out_real, 4)
@@ -193,7 +196,7 @@ class TestMasking:
         rng = np.random.default_rng(15)
 
         def grads_for(t_len, mask_len):
-            layer = BidirectionalLayer("gru", 2, 3, np.random.default_rng(77))
+            layer = standalone(BidirectionalLayer, "gru", 2, 3, rng=np.random.default_rng(77))
             x = np.zeros((1, t_len, 2))
             x[:, :3, :] = base_x
             mask = np.zeros((1, t_len))

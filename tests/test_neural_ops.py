@@ -18,6 +18,7 @@ from kbqa.neural import (
 from kbqa.neural.gradcheck import grad_check
 from kbqa.neural.layers import cross_entropy, softmax
 
+from conftest import standalone
 from oracles import conv1d_scalar, scalar_sequence
 
 
@@ -39,7 +40,7 @@ def driven_layer(kind, d, h):
     exactly 1, and whose second drives the GRU update gate to exactly 0.
     Step 1 with input (40, -40, 0...) then sets the state to all ones;
     step 2 with a zero input is a step of the all-zero cell."""
-    layer = RecurrentDirection(kind, d, h, reverse=False)
+    layer = standalone(RecurrentDirection, kind, d, h, False)
     if kind == "gru":
         layer.params["W_h"][0] = 1.0
         layer.params["W_z"][1] = 1.0
@@ -58,12 +59,12 @@ class TestGruCell:
         assert h.tolist() == [0.5, 0.5]
 
     def test_zero_state_stays_zero(self):
-        h = run(RecurrentDirection("gru", 3, 2, reverse=False), np.zeros((1, 3)))[0]
+        h = run(standalone(RecurrentDirection, "gru", 3, 2, False), np.zeros((1, 3)))[0]
         assert h.tolist() == [0.0, 0.0]
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
-        layer = RecurrentDirection("gru", 3, 2, reverse=False, rng=rng, init_scale=0.6)
+        layer = standalone(RecurrentDirection, "gru", 3, 2, False, rng=rng, init_scale=0.6)
         x = rng.normal(size=(4, 3))
         got = run(layer, x)
         want, _ = scalar_sequence("gru", layer.params, x)
@@ -71,12 +72,12 @@ class TestGruCell:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            run(RecurrentDirection("gru", 3, 2, reverse=False), np.zeros((1, 4)))
+            run(standalone(RecurrentDirection, "gru", 3, 2, False), np.zeros((1, 4)))
 
 
 class TestLstmCell:
     def test_all_zero(self):
-        layer = RecurrentDirection("lstm", 2, 3, reverse=False)
+        layer = standalone(RecurrentDirection, "lstm", 2, 3, False)
         h = run(layer, np.zeros((1, 2)))[0]
         c = cell_states(layer)[0]
         assert h.tolist() == [0.0, 0.0, 0.0]
@@ -93,7 +94,7 @@ class TestLstmCell:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        layer = RecurrentDirection("lstm", 3, 2, reverse=False, rng=rng, init_scale=0.6)
+        layer = standalone(RecurrentDirection, "lstm", 3, 2, False, rng=rng, init_scale=0.6)
         x = rng.normal(size=(4, 3))
         h = run(layer, x)
         c = cell_states(layer)
@@ -104,7 +105,7 @@ class TestLstmCell:
 
 def shared_bidirectional(kind, d, h, rng):
     """A bidirectional layer whose two directions hold the same parameters."""
-    layer = BidirectionalLayer(kind, d, h, rng)
+    layer = standalone(BidirectionalLayer, kind, d, h, rng=rng)
     for name, arr in layer.bwd.params.items():
         arr[...] = layer.fwd.params[name]
     return layer
@@ -121,7 +122,7 @@ class TestBidirectional:
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
-        layer = BidirectionalLayer("lstm", 3, 5, rng)
+        layer = standalone(BidirectionalLayer, "lstm", 3, 5, rng=rng)
         out = layer.forward(rng.normal(size=(1, 7, 3)), np.ones((1, 7)))[0]
         assert out.shape == (7, 10)
 
@@ -138,7 +139,7 @@ class TestBidirectional:
 
 def conv(seq, filters, bias):
     filters = np.asarray(filters, dtype=np.float64)
-    layer = Conv1dLayer(*filters.shape)
+    layer = standalone(Conv1dLayer, *filters.shape)
     layer.params["F"][...] = filters
     layer.params["b"][...] = bias
     return layer.forward(np.asarray(seq, dtype=np.float64)[None])[0]
@@ -182,7 +183,7 @@ class TestConv1d:
 
 
 def dense_softmax(h, weights, bias):
-    layer = DenseLayer(weights.shape[1], weights.shape[0])
+    layer = standalone(DenseLayer, weights.shape[1], weights.shape[0])
     layer.params["W"][...] = weights
     layer.params["b"][...] = bias
     return softmax(layer.forward(np.asarray(h, dtype=np.float64)[None]))[0]

@@ -9,9 +9,10 @@ from kbqa.models import (
     predict_relation,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural import OPTIMIZER_KINDS, TrainConfig, make_optimizer
 
-from corpora import trigger_relation_corpus
+from corpora import entity_template_corpus, trigger_relation_corpus
+from oracles import PerViewOptimizer
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +155,38 @@ class TestDescentProperty:
         opt = make_optimizer("SGD", 0.01)
         losses = [model.loss(batch)]
         for _ in range(50):
-            _, grads = model.loss_and_grads(batch)
-            opt.step(model.trainable_params(), grads)
+            model.loss_and_grads(batch)
+            opt.step(model.theta[-model.grad.size :], model.grad)
             losses.append(model.loss(batch))
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-12
+
+
+class TestFlatStep:
+    @pytest.mark.parametrize("freeze", [True, False])
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("task, kind", [("ENTITY", "BILSTM2"), ("ENTITY", "NT_BILSTM1"),
+                                            ("RELATION", "BIGRU2"), ("RELATION", "CONV_GRU")])
+    def test_flat_step_matches_the_per_view_reference(self, task, kind, optimizer, freeze):
+        """Stepping theta's trainable suffix whole writes the same theta and
+        epoch logs, to the byte, as stepping its named views one by one."""
+        questions, _ = entity_template_corpus(50, seed=11, n_names=10)
+        vocab = [t for q in questions for t in q.tokens]
+        embeddings = random_embedding_table(vocab, 12, seed=3)
+        labels = RelationLabelSpace.from_questions(questions) if task == "RELATION" else None
+        desc = default_descriptor(task, kind, desk_scale=25)
+        config = TrainConfig(epochs=2, batch_size=8, l1_activity=0.01, seed=4,
+                             freeze_embeddings=freeze)
+        decay = {} if optimizer == "SGD" else {"weight_decay": 0.01}
+        runs = []
+        for per_view in (False, True):
+            model = build_model(desc, embeddings, labels, vocab_tokens=vocab, seed=5)
+            start = model.theta.copy()
+            opt = (PerViewOptimizer(model, optimizer, 0.01, **decay) if per_view
+                   else make_optimizer(optimizer, 0.01, **decay))
+            log = train(model, questions[:40], config, opt, valid_set=questions[40:])
+            moved = model.theta != start
+            n_embedding = model.embedding.params["E"].size
+            assert moved[n_embedding:].any() and moved[:n_embedding].any() != freeze
+            runs.append((log, model.theta.tobytes()))
+        assert runs[0] == runs[1]

@@ -34,6 +34,9 @@ one GEMM each after the loop.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -298,13 +301,52 @@ class RecurrentDirection(_ParamLayer):
         return dx.reshape(t_len, b_size, -1).transpose(1, 0, 2)
 
 
+# A direction whose U holds at least this many values (2 MB of float64,
+# more than one core's L2) spends each step reading U from memory, inside
+# matmul calls that release the GIL, so the two directions overlap on two
+# cores.  Below it a step is a dozen short numpy calls, and two threads
+# only contend for the GIL.
+OVERLAP_MIN_U = 1 << 18
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """Run in a forked child, which has no copy of the worker thread."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _reverse_worker(u_size: int) -> ThreadPoolExecutor | None:
+    """The process-wide one-thread executor that runs reverse directions,
+    made on first use, or None when the layer is too small to overlap or
+    the process may run on one CPU only."""
+    global _worker
+    if u_size < OVERLAP_MIN_U:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus < 2:
+                return None
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kbqa-reverse")
+        return _worker
+
+
 class BidirectionalLayer:
     """Forward and backward recurrences with concatenated outputs [B, T, 2H].
 
     The final sequence representation (for classification heads) is
     concat(forward state at the last step, backward state at step 0);
     with carry masking these are the states after the last real token in
-    each direction.
+    each direction.  When a direction's U holds at least OVERLAP_MIN_U
+    values, forward runs the reverse direction on the worker thread while
+    the caller runs the forward one.
     """
 
     def __init__(self, kind: str, input_dim: int, hidden_dim: int, block: np.ndarray):
@@ -328,9 +370,16 @@ class BidirectionalLayer:
         self.bwd.forget()
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [self.fwd.forward(x, mask), self.bwd.forward(x, mask)], axis=2
-        )
+        worker = _reverse_worker(self.bwd.U.size)
+        if worker is None:
+            return np.concatenate([self.fwd.forward(x, mask), self.bwd.forward(x, mask)], axis=2)
+        behind = worker.submit(self.bwd.forward, x, mask)
+        try:
+            ahead = self.fwd.forward(x, mask)
+        except BaseException:
+            behind.exception()  # the reverse direction never outlives the call
+            raise
+        return np.concatenate([ahead, behind.result()], axis=2)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         h = self.hidden_dim

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +26,7 @@ from kbqa.neural import (
     TrainConfig,
     grad_check,
 )
+from kbqa.neural import layers
 from kbqa.neural.layers import carve
 
 from conftest import standalone
@@ -327,3 +335,182 @@ class TestBackwardProperties:
         _, twice = model.loss_and_grads(doubled)
         for name in single:
             assert np.allclose(single[name], twice[name], atol=1e-12), name
+
+
+def _sequential(layer, x, mask):
+    return np.concatenate([layer.fwd.forward(x, mask), layer.bwd.forward(x, mask)], axis=2)
+
+
+def _record_threads(direction, seen):
+    """Make direction.forward note the thread that runs it in seen."""
+    forward = direction.forward
+
+    def recorded(*args):
+        seen.append(threading.get_ident())
+        return forward(*args)
+
+    direction.forward = recorded
+
+
+def _can_overlap():
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) >= 2
+
+
+class TestOverlappedDirections:
+    """Above OVERLAP_MIN_U the reverse direction runs on the worker thread
+    while the caller runs the forward one; the output must not change."""
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("b_size", [1, 5])
+    def test_equals_sequential_directions(self, kind, b_size):
+        rng = np.random.default_rng(b_size)
+        layer = standalone(BidirectionalLayer, kind, 6, 300, rng=rng)
+        assert layer.bwd.U.size >= layers.OVERLAP_MIN_U
+        x, mask = ragged_batch(rng, b_size, 9, 6)
+        assert np.array_equal(layer.forward(x, mask), _sequential(layer, x, mask))
+
+    @pytest.mark.parametrize("hidden,overlapped", [(300, True), (50, False)])
+    def test_reverse_direction_thread(self, hidden, overlapped):
+        rng = np.random.default_rng(2)
+        layer = standalone(BidirectionalLayer, "lstm", 6, hidden, rng=rng)
+        seen = []
+        _record_threads(layer.bwd, seen)
+        layer.forward(*ragged_batch(rng, 2, 5, 6))
+        elsewhere = overlapped and _can_overlap()
+        assert (seen[0] != threading.get_ident()) == elsewhere
+
+    def test_one_cpu_runs_both_directions_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(layers, "_worker", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        rng = np.random.default_rng(3)
+        layer = standalone(BidirectionalLayer, "gru", 6, 300, rng=rng)
+        seen = []
+        _record_threads(layer.bwd, seen)
+        layer.forward(*ragged_batch(rng, 2, 5, 6))
+        assert seen == [threading.get_ident()]
+        assert layers._worker is None
+
+    def test_wrong_width_raises_and_the_layer_still_works(self):
+        rng = np.random.default_rng(4)
+        layer = standalone(BidirectionalLayer, "lstm", 6, 300, rng=rng)
+        with pytest.raises(ValueError, match="layer expects 6"):
+            layer.forward(rng.normal(size=(2, 5, 7)), np.ones((2, 5)))
+        x, mask = ragged_batch(rng, 3, 5, 6)
+        assert np.array_equal(layer.forward(x, mask), _sequential(layer, x, mask))
+
+    def test_caller_error_waits_for_the_reverse_direction(self):
+        rng = np.random.default_rng(5)
+        layer = standalone(BidirectionalLayer, "gru", 6, 300, rng=rng)
+        finished = []
+        reverse = layer.bwd.forward
+
+        def slow_reverse(*args):
+            time.sleep(0.05)
+            out = reverse(*args)
+            finished.append(True)
+            return out
+
+        def failing_forward(*args):
+            raise RuntimeError("forward direction failed")
+
+        layer.bwd.forward = slow_reverse
+        layer.fwd.forward = failing_forward
+        with pytest.raises(RuntimeError, match="forward direction failed"):
+            layer.forward(*ragged_batch(rng, 2, 5, 6))
+        assert finished == [True]
+
+    def test_concurrent_callers_share_one_worker(self, monkeypatch):
+        monkeypatch.setattr(layers, "_worker", None)
+        rng = np.random.default_rng(6)
+        jobs, seen = [], []
+        for kind in ("lstm", "gru") * 3:
+            layer = standalone(BidirectionalLayer, kind, 6, 300, rng=rng)
+            x, mask = ragged_batch(rng, 2, 4, 6)
+            jobs.append((layer, x, mask, _sequential(layer, x, mask)))
+            _record_threads(layer.bwd, seen)
+        results = [None] * len(jobs)
+
+        def call(i):
+            layer, x, mask, want = jobs[i]
+            results[i] = all(np.array_equal(layer.forward(x, mask), want) for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if layers._worker is not None:
+                layers._worker.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * len(jobs)
+        callers = {thread.ident for thread in threads}
+        reverse_threads = set(seen) - callers
+        assert len(reverse_threads) == (1 if _can_overlap() else 0)
+
+
+# Run in a fresh process per BLAS thread count, in which importing the
+# layers has started no thread: with two directions in flight at once,
+# each BLAS call must still give the bytes it gives alone, and a forked
+# child must start a worker of its own.
+_BLAS_SCRIPT = """
+import os
+import signal
+import threading
+import time
+
+import numpy as np
+
+from kbqa.neural import BidirectionalLayer, RecurrentDirection
+from kbqa.neural.layers import layout_size
+
+assert threading.active_count() == 1, "importing the layers started a thread"
+rng = np.random.default_rng(7)
+for kind in ("lstm", "gru"):
+    n = layout_size(RecurrentDirection.shapes(kind, 8, 400))
+    layer = BidirectionalLayer(kind, 8, 400, rng.uniform(-0.08, 0.08, 2 * n))
+    for b_size in (1, 50):
+        x = rng.normal(size=(b_size, 9, 8))
+        mask = np.ones((b_size, 9))
+        for b in range(1, b_size):
+            mask[b, int(rng.integers(1, 10)):] = 0.0
+        overlapped = layer.forward(x, mask)
+        sequential = np.concatenate([layer.fwd.forward(x, mask), layer.bwd.forward(x, mask)], axis=2)
+        assert overlapped.tobytes() == sequential.tobytes(), (kind, b_size)
+assert threading.active_count() <= 2, "more than one worker thread"
+if hasattr(os, "fork"):  # a forked child cannot use its parent's worker thread
+    same = False
+    pid = os.fork()
+    if pid == 0:
+        try:
+            same = layer.forward(x, mask).tobytes() == sequential.tobytes()
+        finally:
+            os._exit(0 if same else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        raise AssertionError("the forked child's forward did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0, "the forked child's forward failed"
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_overlap_is_byte_identical_at_each_blas_thread_count(blas_threads):
+    src = str(Path(layers.__file__).parents[2])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

@@ -9,8 +9,8 @@ are the declared arrays' values in header order, each little-endian
 float64 or, where its format says so, little-endian int32.  The file is
 read as bytes, once; only the text is decoded, and the payload must be
 exactly as long as the declared arrays.  Every defect raises
-ParseError(path, line).  `text_lines` and `undecodable`
-serve the plain-text data files.
+ParseError(path, line).  `text_lines`, `_read_fields` (the rows of a
+tab-separated file) and `undecodable` serve the plain-text data files.
 """
 
 import math
@@ -53,6 +53,26 @@ def text_lines(path: str):
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError:
             raise undecodable(path) from None
+
+
+def _read_fields(path: str, n_fields: int, check=None):
+    """Yield (line_no, fields) for non-empty lines, enforcing the field
+    count, no empty field and, if given, check(fields): the message of a
+    bad row's ParseError, or None."""
+    for line_no, raw in text_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        if "" in fields:
+            raise ParseError(path, line_no, "empty field")
+        if check and (message := check(fields)):
+            raise ParseError(path, line_no, message)
+        yield line_no, fields
 
 
 def _check_magic(path: str, text: str, magic: str) -> None:

@@ -121,6 +121,9 @@ def _kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(_kind(part.strip()) for part in text.split(",") if part.strip())
     if len(kinds) < 2:
         raise ValueError(f"expected at least two model kinds, got {text!r}")
+    for kind in kinds:
+        if kind not in NEURAL_KINDS:
+            raise ValueError(f"benchmark compares neural kinds, and {kind} is not one")
     return kinds
 
 
@@ -222,7 +225,7 @@ OPTIONS = {
     "budget": Option(("tune",), "objective evaluations", _number(int, 0), 25),
     "dim": Option(("tune",), f"KEY=V1,V2,... with KEY one of {', '.join(_TUNING)}", _dimension,
                   required=_ALL, repeat=True),
-    "kinds": Option(("benchmark",), "model kinds, comma-separated", _kinds, required=_ALL),
+    "kinds": Option(("benchmark",), "neural kinds, comma-separated", _kinds, required=_ALL),
 }
 
 
@@ -331,6 +334,14 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _model_for(path: str, task: str):
+    """The model in path, which must serve task."""
+    model = load_model(_require_file(path, f"{task.lower()} model"))
+    if model.descriptor.task != task:
+        raise QAError(f"{path} holds a model for the {model.descriptor.task} task, not {task}")
+    return model
+
+
 def _lexicon_of(opts):
     if opts.lexicon:
         return load_pos_lexicon(_require_file(opts.lexicon, "lexicon"))
@@ -348,8 +359,8 @@ def _embeddings_of(opts, train_questions):
 
 def _descriptor_of(opts, hidden_ratio=None, dropout=None):
     """The descriptor the options ask for; tune's hidden_ratio sets the
-    first of two layers to that multiple of the second, and its dropout
-    sets every rate."""
+    first of two recurrent layers to that multiple of the second, and its
+    dropout sets every rate."""
     desc = default_descriptor(
         opts.task,
         opts.kind,
@@ -359,7 +370,7 @@ def _descriptor_of(opts, hidden_ratio=None, dropout=None):
         dropout_rates=opts.dropout,
     )
     hidden = desc.hidden_sizes
-    if hidden_ratio is not None and len(hidden) == 2:
+    if hidden_ratio is not None:
         hidden = (max(1, round(hidden_ratio * hidden[1])), hidden[1])
     rates = desc.dropout_rates
     if dropout is not None:
@@ -386,8 +397,7 @@ def _optimizer(opts, learning_rate=None):
     )
 
 
-def _build_and_train(opts, split, lexicon, descriptor=None, config=None, learning_rate=None):
-    desc = descriptor if descriptor is not None else _descriptor_of(opts)
+def _build_and_train(opts, split, lexicon, desc, config=None, learning_rate=None):
     label_space = None
     if desc.task == "RELATION":
         label_space = RelationLabelSpace.from_questions(split.train)
@@ -429,11 +439,12 @@ def run(command: Command) -> int:
         return 0
 
     if verb == "train":
+        desc = _descriptor_of(opts)
         _, split = _load_split(opts)
         if not split.train:
             raise QAError("training split is empty")
         lexicon = _lexicon_of(opts)
-        model, log = _build_and_train(opts, split, lexicon)
+        model, log = _build_and_train(opts, split, lexicon, desc)
         for stats in log:
             print(
                 f"epoch {stats.epoch} train_loss {stats.train_loss:.6f} "
@@ -461,10 +472,10 @@ def run(command: Command) -> int:
         relation_models = {}
         pipelines = {}
         if opts.entity_model:
-            em = load_model(_require_file(opts.entity_model, "entity model"))
+            em = _model_for(opts.entity_model, "ENTITY")
             entity_models[em.descriptor.kind] = em
         if opts.relation_model:
-            rm = load_model(_require_file(opts.relation_model, "relation model"))
+            rm = _model_for(opts.relation_model, "RELATION")
             relation_models[rm.descriptor.kind] = rm
         if opts.entity_model and opts.relation_model:
             pipelines["pipeline"] = (em, rm)
@@ -489,8 +500,8 @@ def run(command: Command) -> int:
 
     if verb == "ask":
         entity_index, reach_index = load_indexes(_require_file(opts.index, "index"))
-        entity_model = load_model(_require_file(opts.entity_model, "entity model"))
-        relation_model = load_model(_require_file(opts.relation_model, "relation model"))
+        entity_model = _model_for(opts.entity_model, "ENTITY")
+        relation_model = _model_for(opts.relation_model, "RELATION")
         lexicon = _lexicon_of(opts)
         query = build_structured_query(entity_model, relation_model, opts.question, lexicon)
         print(f"entity_phrase: {' '.join(query.entity_phrase)}")
@@ -500,7 +511,7 @@ def run(command: Command) -> int:
             print("no-answer")
             return 0
         fact = result.supporting_fact
-        print(f"answer: {result.object}")
+        print(f"answer: {fact.object}")
         print(f"fact: {fact.subject}\t{fact.relation}\t{fact.object}")
         print(f"score: {result.score!r}")
         print(f"degraded: {'yes' if result.degraded else 'no'}")
@@ -519,11 +530,17 @@ def run(command: Command) -> int:
         return 0 if all_pass else 1
 
     if verb == "tune":
+        space = dict(opts.dim)
+        desc = _descriptor_of(opts)
+        if desc.kind not in NEURAL_KINDS:
+            raise UsageError(f"tune searches how neural kinds train, and {desc.kind} is not one")
+        if "hidden_ratio" in space and len(desc.hidden_sizes) != 2:
+            raise UsageError(f"--dim hidden_ratio needs two recurrent layers, but this "
+                             f"{desc.kind} has {len(desc.hidden_sizes)}")
         _, split = _load_split(opts)
         if not split.valid:
             raise QAError("tuning needs a non-empty validation split")
         lexicon = _lexicon_of(opts)
-        space = dict(opts.dim)
 
         def objective(cfg):
             desc = _descriptor_of(
@@ -536,7 +553,7 @@ def run(command: Command) -> int:
                 opts,
                 split,
                 lexicon,
-                descriptor=desc,
+                desc,
                 config=config,
                 learning_rate=cfg.get("learning_rate"),
             )

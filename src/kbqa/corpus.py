@@ -25,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .artifact import text_lines, undecodable
+from .artifact import _read_fields, text_lines, undecodable
 from .errors import IntegrityError, ParseError, TaggingError
 from .textproc import tokenize
 
@@ -67,13 +67,6 @@ class KnowledgeBase:
     objects: list[str]
     aliases: dict[str, tuple[str, ...]]
 
-    @classmethod
-    def from_facts(cls, facts, aliases: dict[str, tuple[str, ...]]) -> "KnowledgeBase":
-        """A KB of the given Facts, in order, and aliases."""
-        facts = tuple(facts)
-        return cls([f.subject for f in facts], [f.relation for f in facts],
-                   [f.object for f in facts], aliases)
-
     @property
     def facts(self) -> tuple[Fact, ...]:
         """The facts as Fact objects, made on each read."""
@@ -112,31 +105,8 @@ class EmbeddingTable:
     def lookup(self, token: str) -> np.ndarray:
         return self.vectors.get(token, self.unk_vector)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-def _read_fields(path: str, n_fields: int, check=None):
-    """Yield (line_no, fields) for non-empty lines, enforcing the field
-    count, no empty field and, if given, check(fields): the message of a
-    bad row's ParseError, or None."""
-    for line_no, raw in text_lines(path):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise ParseError(
-                path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
-            )
-        if "" in fields:
-            raise ParseError(path, line_no, "empty field")
-        if check and (message := check(fields)):
-            raise ParseError(path, line_no, message)
-        yield line_no, fields
 
 
 def _columns(path: str, n_fields: int, check=None) -> list[list[str]]:

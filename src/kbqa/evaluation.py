@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .index import DEFAULT_CANDIDATE_CAP, EntityIndex, query_entity_index
-from .models import build_model, predict_relation_batch, predict_tags_batch, train
+from .models import NEURAL_KINDS, build_model, predict_relation_batch, predict_tags_batch, train
 from .models import relation_accuracy, tag_accuracy
 from .neural.config import TrainConfig
 from .pipeline import StructuredQuery
@@ -221,14 +221,11 @@ def basin_hop_tune(
             if improved or calls >= budget:
                 break
         if not improved and calls < budget:
-            # local optimum: hop to a seeded random point
+            # local optimum: hop to a seeded random point, which score_of scores
             current = tuple(int(rng.integers(0, s)) for s in sizes)
-            value = score_of(current)
-            if value is None:
-                break
-            current_score = value
-            if value > best_score:
-                best_idx, best_score = current, value
+            current_score = score_of(current)
+            if current_score > best_score:
+                best_idx, best_score = current, current_score
     return config_of(best_idx), trace
 
 
@@ -268,10 +265,13 @@ def benchmark_training(
     optimizer_factory,
     lexicon=None,
 ) -> BenchmarkReport:
-    """Wall-clock per epoch and trainable parameter counts per descriptor."""
+    """Wall-clock per epoch and trainable parameter counts per neural descriptor."""
     descriptors = list(descriptors)
     if len(descriptors) < 2:
         raise ValueError("benchmark needs at least 2 descriptors")
+    for desc in descriptors:
+        if desc.kind not in NEURAL_KINDS:
+            raise ValueError(f"benchmark times neural kinds only, not {desc.kind}")
     rows = []
     timing: dict[str, float] = {}
     for desc in descriptors:

@@ -69,14 +69,12 @@ def _parse_descriptor(pairs: dict[str, str]) -> ArchitectureDescriptor:
     )
 
 
-def _stored(model) -> tuple[list[tuple[str, tuple[int, ...]]], list[np.ndarray]]:
-    """The (name, shape) of each array a model file stores, in file order,
-    and arrays holding their values in that order."""
+def _stored(model) -> dict[str, np.ndarray]:
+    """The arrays a model file stores, by name, in file order: the model's
+    own arrays, which a load fills in place."""
     if isinstance(model, NeuralSequenceModel):
-        return model.layout, [model.theta]
-    names = _BASELINE_ARRAYS[model.descriptor.kind]
-    arrays = [getattr(model, name) for name in names]
-    return [(name, a.shape) for name, a in zip(names, arrays)], arrays
+        return model.all_params()
+    return {name: getattr(model, name) for name in _BASELINE_ARRAYS[model.descriptor.kind]}
 
 
 def save_model(model, path: str) -> None:
@@ -99,10 +97,10 @@ def save_model(model, path: str) -> None:
     if labels is not None:
         lines.append(f"LABELS {len(labels.labels)}")
         lines.extend(labels.labels)
-    layout, arrays = _stored(model)
-    for name, shape in layout:
-        lines.append(f"PARAM {name} {len(shape)} {' '.join(str(s) for s in shape)}")
-    write_artifact(path, "QAMODEL 2 ", lines, arrays)
+    stored = _stored(model)
+    for name, array in stored.items():
+        lines.append(f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}")
+    write_artifact(path, "QAMODEL 2 ", lines, list(stored.values()))
 
 
 def load_model(path: str):
@@ -132,22 +130,18 @@ def load_model(path: str):
         raise ParseError(path, first_row["VOCAB"] + j, f"VOCAB token {vocab[j]!r} "
                          f"repeats line {first_row['VOCAB'] + first[vocab[j]]}")
     label_space = RelationLabelSpace(tuple(labels)) if labels else None
-    if desc.kind in NEURAL_KINDS:
-        ids = {tok: i + 2 for i, tok in enumerate(vocab)}
-        layout = _neural_layout(path, desc, len(ids), len(labels), blocks)
-        _check_blocks(path, layout, blocks)
     try:
         if desc.kind in NEURAL_KINDS:
+            layout = _neural_layout(path, desc, len(vocab), len(labels), blocks)
             max_len = int(src.fields["max_len"])
             if max_len < 1:
                 raise ParseError(path, 1, f"max_len must be >= 1, got {max_len}")
-            theta = np.concatenate([values[name].reshape(-1) for name, _ in layout])
             model = NeuralSequenceModel(
-                desc, ids, label_space, max_len, int(src.fields["seed"]), theta,
-                dim=layout[0][1][1], freeze_embeddings=src.fields["frozen"] == "1")
+                desc, {tok: i + 2 for i, tok in enumerate(vocab)}, label_space, max_len,
+                int(src.fields["seed"]), np.zeros(layout_size(layout)), dim=layout[0][1][1],
+                freeze_embeddings=src.fields["frozen"] == "1")
             model.l1_activity = float(src.fields["l1"])
-            return model
-        if desc.kind == "NAIVE_ALL_ENTITY":
+        elif desc.kind == "NAIVE_ALL_ENTITY":
             model = NaiveAllEntityModel(desc)
         elif desc.kind == "MAJORITY":
             model = MajorityModel(desc, label_space)
@@ -155,9 +149,9 @@ def load_model(path: str):
             model = MultinomialNBModel(desc, label_space, float(src.fields["alpha"]), vocab)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model: {exc!r}") from None
-    layout, arrays = _stored(model)
-    _check_blocks(path, layout, blocks)
-    for (name, _), array in zip(layout, arrays):
+    stored = _stored(model)
+    _check_blocks(path, stored, blocks)
+    for name, array in stored.items():
         array[...] = values[name]
     return model
 
@@ -178,15 +172,14 @@ def _neural_layout(path, desc, n_vocab: int, n_labels: int, blocks):
     return layout
 
 
-def _check_blocks(path, layout, blocks) -> None:
-    """Each array of the layout has a PARAM line of its shape, and no other does."""
-    expected = dict(layout)
-    for name, shape in layout:
+def _check_blocks(path, stored, blocks) -> None:
+    """Each stored array has a PARAM line of its shape, and no other name does."""
+    for name, array in stored.items():
         if name not in blocks:
             raise ParseError(path, 1, f"missing parameter block {name!r}")
-        if blocks[name][1] != shape:
+        if blocks[name][1] != array.shape:
             raise ParseError(path, blocks[name][0],
-                             f"PARAM {name} has shape {blocks[name][1]}, expected {shape}")
+                             f"PARAM {name} has shape {blocks[name][1]}, expected {array.shape}")
     for name, (line_no, _) in blocks.items():
-        if name not in expected:
+        if name not in stored:
             raise ParseError(path, line_no, f"unexpected parameter block {name!r}")

@@ -7,9 +7,10 @@ Neural kinds are assembled from kbqa.neural layers:
   NT_BILSTM1  one bidirectional LSTM layer, usually fed noun-filtered input
   CONV_GRU    conv(filters, width) -> dropout -> one bidirectional GRU
 
-Non-neural kinds: NB_MULTINOMIAL (bag-of-words Naive Bayes, relation
-task), MAJORITY (most common training relation), NAIVE_ALL_ENTITY (tags
-every token as entity).
+A neural kind serves either task.  Each non-neural kind serves one:
+NB_MULTINOMIAL (bag-of-words Naive Bayes) and MAJORITY (most common
+training relation) the relation task, NAIVE_ALL_ENTITY (tags every token
+as entity) the entity task.
 
 Entity models emit per-token binary tags; relation models emit one
 class over the label space.  An all-zero tag prediction falls back to
@@ -66,7 +67,9 @@ __all__ = [
 ]
 
 NEURAL_KINDS = ("BILSTM2", "NT_BILSTM1", "BIGRU2", "CONV_GRU")
-BASELINE_KINDS = ("NB_MULTINOMIAL", "MAJORITY", "NAIVE_ALL_ENTITY")
+_BASELINE_TASK = {"NB_MULTINOMIAL": "RELATION", "MAJORITY": "RELATION",
+                  "NAIVE_ALL_ENTITY": "ENTITY"}  # the one task each baseline serves
+BASELINE_KINDS = tuple(_BASELINE_TASK)
 TASKS = ("ENTITY", "RELATION")
 UNK_ID = 1
 PREDICT_BATCH = 50  # questions per predict_probs call in the batched path
@@ -97,6 +100,9 @@ class ArchitectureDescriptor:
             raise ValueError(f"unknown task {self.task!r}")
         if self.kind not in NEURAL_KINDS + BASELINE_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if _BASELINE_TASK.get(self.kind, self.task) != self.task:
+            raise ValueError(f"{self.kind} serves the {_BASELINE_TASK[self.kind]} task, "
+                             f"not {self.task}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.kind == "CONV_GRU" and (self.conv_filters < 1 or self.conv_width < 1):
@@ -160,10 +166,9 @@ class RelationLabelSpace:
 
 @dataclass(frozen=True)
 class TagPrediction:
-    """tags align to the model's input tokens; mapped_tags to the original
-    question tokens (zeros at filtered-out positions)."""
+    """mapped_tags align to the question's tokens, with zeros at the
+    positions the noun filter dropped."""
 
-    tags: tuple[int, ...]
     mapped_tags: tuple[int, ...]
     degraded: bool
 
@@ -590,7 +595,7 @@ def _tag_predictions(model, token_seqs, inputs) -> list[TagPrediction]:
         mapped = [0] * len(tokens)
         for pos, src in enumerate(seen.index_map):
             mapped[src] = raw[pos]
-        predictions.append(TagPrediction(tuple(raw), tuple(mapped), degraded))
+        predictions.append(TagPrediction(tuple(mapped), degraded))
     return predictions
 
 

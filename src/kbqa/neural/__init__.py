@@ -1,30 +1,4 @@
-"""Minimal differentiable stack: layers, losses, optimizers, grad check."""
-
-from .config import TrainConfig
-from .gradcheck import GradCheckReport, grad_check
-from .layers import (
-    BidirectionalLayer,
-    Conv1dLayer,
-    DenseLayer,
-    DropoutLayer,
-    EmbeddingLayer,
-    RecurrentDirection,
-)
-from .optim import OPTIMIZER_KINDS, Adam, Optimizer, SGD, make_optimizer
-
-__all__ = [
-    "Adam",
-    "BidirectionalLayer",
-    "Conv1dLayer",
-    "DenseLayer",
-    "DropoutLayer",
-    "EmbeddingLayer",
-    "GradCheckReport",
-    "OPTIMIZER_KINDS",
-    "Optimizer",
-    "RecurrentDirection",
-    "SGD",
-    "TrainConfig",
-    "grad_check",
-    "make_optimizer",
-]
+"""Minimal differentiable stack.  The package re-exports nothing; import
+from its submodules: `layers` (the layers, softmax, cross-entropy and the
+flat-parameter helpers), `optim` (SGD and Adam), `config` (TrainConfig)
+and `gradcheck` (the finite-difference check)."""

@@ -1,9 +1,9 @@
 """Finite-difference verification of analytic gradients.
 
 Works against any object exposing trainable_params() -> dict of live
-arrays and loss_and_grads(example) -> (loss, grads); an optional
-loss(example) method is used for the cheap re-evaluations.  Central
-differences in float64.  The relative error of one parameter tensor is
+arrays, loss_and_grads(example) -> (loss, grads) and loss(example) ->
+loss, which serves the cheap re-evaluations.  Central differences in
+float64.  The relative error of one parameter tensor is
 
     max_i |analytic_i - numeric_i| / max(max_i|analytic_i|, max_i|numeric_i|, 1e-8)
 
@@ -42,14 +42,12 @@ class GradCheckReport:
 
 
 def grad_check(model, example, h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare model.loss_and_grads against central finite differences."""
+    """Compare model.loss_and_grads against central finite differences of
+    model.loss, which every model checked must have."""
     if h <= 0 or tolerance <= 0:
         raise ValueError(f"h and tolerance must be > 0, got h={h}, tolerance={tolerance}")
     params = model.trainable_params()
     _, analytic = model.loss_and_grads(example)
-    loss_fn = getattr(model, "loss", None)
-    if loss_fn is None:
-        loss_fn = lambda ex: model.loss_and_grads(ex)[0]
 
     per_param: dict[str, float] = {}
     worst = ("", 0.0)
@@ -60,9 +58,9 @@ def grad_check(model, example, h: float = 1e-5, tolerance: float = 1e-4) -> Grad
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + h
-            up = loss_fn(example)
+            up = model.loss(example)
             flat[i] = original - h
-            down = loss_fn(example)
+            down = model.loss(example)
             flat[i] = original
             numeric[i] = (up - down) / (2.0 * h)
         numeric = numeric.reshape(values.shape)

@@ -355,10 +355,6 @@ class BidirectionalLayer:
         self.fwd, self.bwd = (RecurrentDirection(kind, input_dim, hidden_dim, reverse, half)
                               for reverse, half in zip((False, True), np.split(block, 2)))
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden_dim
-
     def use_grads(self, block: np.ndarray) -> None:
         """RecurrentDirection.use_grads for the two halves of block."""
         half = block.size // 2
@@ -409,10 +405,6 @@ class Conv1dLayer(_ParamLayer):
     @staticmethod
     def shapes(n_filters: int, width: int, input_dim: int) -> list[tuple[str, tuple[int, ...]]]:
         return [("F", (n_filters, width, input_dim)), ("b", (n_filters,))]
-
-    @property
-    def output_dim(self) -> int:
-        return self.n_filters
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, t_len, depth = x.shape

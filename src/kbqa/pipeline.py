@@ -38,7 +38,6 @@ class StructuredQuery:
 
 @dataclass(frozen=True)
 class Answer:
-    object: str
     supporting_fact: Fact
     score: float
     degraded: bool
@@ -70,7 +69,6 @@ def answer(
     # candidates come best first, ties by rank, so the first fact is the best
     best = answer_set[0]
     return Answer(
-        object=best.object,
         supporting_fact=Fact(best.entity, best.relation, best.object),
         score=best.score,
         degraded=query.degraded,

@@ -8,8 +8,7 @@ lexicon-plus-heuristics tagger stands in for a statistical POS model.
 
 from dataclasses import dataclass
 
-from .artifact import text_lines
-from .errors import ParseError
+from .artifact import _read_fields
 
 __all__ = [
     "COARSE_TAGS",
@@ -168,18 +167,11 @@ def noun_chunk_filter(tokens: list[str], tags: list[str]) -> FilterResult:
     )
 
 
+def _unknown_tag(fields: list[str]) -> str | None:
+    """The error of a lexicon row whose tag is not a coarse tag."""
+    return None if fields[1] in COARSE_TAGS else f"unknown tag {fields[1]!r}"
+
+
 def load_pos_lexicon(path: str) -> dict[str, str]:
     """Read a token<TAB>TAG lexicon file; keys are lowercased."""
-    lexicon: dict[str, str] = {}
-    for line_no, raw in text_lines(path):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
-        token, tag = parts
-        if tag not in COARSE_TAGS:
-            raise ParseError(path, line_no, f"unknown tag {tag!r}")
-        lexicon[token.lower()] = tag
-    return lexicon
+    return {token.lower(): tag for _, (token, tag) in _read_fields(path, 2, _unknown_tag)}

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kbqa.neural import BidirectionalLayer, RecurrentDirection
-from kbqa.neural.layers import layout_size
+from kbqa.neural.layers import BidirectionalLayer, RecurrentDirection, layout_size
 
 TOY_FACTS = (
     "e1\tbornOn\t1956\n"

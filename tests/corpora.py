@@ -10,7 +10,8 @@ filter strips the decorations, so a filtered tagger sees short,
 low-vocabulary inputs while the unfiltered one must cope with rare
 context words.
 
-save_kb writes a KB back out in the formats load_facts reads.
+from_facts builds a KB from Fact objects; save_kb writes a KB back out in
+the formats load_facts reads.
 """
 
 import numpy as np
@@ -126,7 +127,7 @@ def entity_template_corpus(
         for i in range(len(names))
         for rel in relations
     )
-    kb = KnowledgeBase.from_facts(facts, aliases)
+    kb = from_facts(facts, aliases)
 
     questions = []
     for i in range(n):
@@ -146,6 +147,13 @@ def entity_template_corpus(
             )
         )
     return questions, kb
+
+
+def from_facts(facts, aliases: dict[str, tuple[str, ...]]) -> KnowledgeBase:
+    """A KB of the given Facts, in order, and aliases."""
+    facts = tuple(facts)
+    return KnowledgeBase([f.subject for f in facts], [f.relation for f in facts],
+                         [f.object for f in facts], aliases)
 
 
 def save_kb(kb: KnowledgeBase, facts_path: str, aliases_path: str) -> None:

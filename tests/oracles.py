@@ -16,10 +16,12 @@ from kbqa.errors import IntegrityError, ParseError
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
 from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet, EntityIndex, ReachIndex
 from kbqa.models import TagPrediction
-from kbqa.neural import SGD, Adam
 from kbqa.neural.layers import carve
+from kbqa.neural.optim import SGD, Adam
 from kbqa.pipeline import build_structured_query
 from kbqa.textproc import ngrams, noun_chunk_filter, pos_tag
+
+from corpora import from_facts
 
 
 def sigmoid_scalar(v: float) -> float:
@@ -313,7 +315,7 @@ def load_facts_reference(facts_path: str, aliases_path: str) -> KnowledgeBase:
             raise IntegrityError(
                 f"{facts_path}:{line_no}: fact subject {subject!r} has no alias in {aliases_path}"
             )
-    return KnowledgeBase.from_facts(facts, {e: tuple(a) for e, a in aliases.items()})
+    return from_facts(facts, {e: tuple(a) for e, a in aliases.items()})
 
 
 # -- retrieval oracles ---------------------------------------------------------
@@ -513,7 +515,7 @@ def random_kb(rng: np.random.Generator, max_aliases: int = 100, max_facts: int =
         )
         for _ in range(n_facts)
     )
-    return KnowledgeBase.from_facts(facts, aliases)
+    return from_facts(facts, aliases)
 
 
 def random_phrase(rng: np.random.Generator, max_len: int = 4):
@@ -546,7 +548,7 @@ def predict_tags_reference(model, tokens, lexicon=None) -> TagPrediction:
     mapped = [0] * len(tokens)
     for pos, src in enumerate(index_map):
         mapped[src] = raw[pos]
-    return TagPrediction(tuple(raw), tuple(mapped), degraded)
+    return TagPrediction(tuple(mapped), degraded)
 
 
 def predict_relation_reference(model, tokens, lexicon=None) -> tuple[str, float]:

@@ -24,10 +24,11 @@ from kbqa.models import (
     predict_tags,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import make_optimizer
 from kbqa.pipeline import StructuredQuery, answer
 
-from corpora import entity_template_corpus, trigger_relation_corpus
+from corpora import entity_template_corpus, from_facts, trigger_relation_corpus
 from oracles import brute_answer, brute_rank, named_candidates, random_kb, random_phrase
 from conftest import TOY_ALIASES, TOY_FACTS, TOY_QUESTIONS
 
@@ -77,7 +78,7 @@ def test_criterion_2_index_oracle():
         else:
             answers_checked += 1
             assert (
-                got_answer.object,
+                got_answer.supporting_fact.object,
                 got_answer.supporting_fact,
                 got_answer.score,
             ) == want
@@ -288,9 +289,9 @@ def test_criterion_7_simplification_claim():
 def test_criterion_8_metric_conformance():
     """question_correct is true iff both the entity and the relation match:
     exhaustive over the four combinations on a toy KB."""
-    from kbqa.corpus import Fact, KnowledgeBase
+    from kbqa.corpus import Fact
 
-    kb = KnowledgeBase.from_facts(
+    kb = from_facts(
         (Fact("e1", "bornOn", "1956"), Fact("e2", "bornOn", "1962")),
         {"e1": ("tom hanks",), "e2": ("tom cruise",)},
     )

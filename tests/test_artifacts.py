@@ -30,7 +30,8 @@ from kbqa.models import (
     predict_tags,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import make_optimizer
 from kbqa.textproc import ngrams
 
 from oracles import named_candidates

@@ -653,6 +653,18 @@ class TestDataFileErrors:
         assert f"{bad}:2: " in capsys.readouterr().err
 
 
+    def test_lexicon_row_with_an_empty_token(self, indexed, tmp_path):
+        """`qa ask` exits 1 naming the lexicon's line, where a row with no
+        token was once stored under the empty token."""
+        em, rm = train_toy_models(indexed, tmp_path)
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("tom\tPROPN\n\tNOUN\n")
+        code, err = qa("ask", "--question", "How old is Tom Hanks?", "--index", indexed[3],
+                       "--entity-model", em, "--relation-model", rm, "--lexicon", lexicon)
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert f"{lexicon}:2: empty field" in err
+
     def test_fact_subject_without_alias(self, toy_files, tmp_path, capsys):
         facts, aliases, _ = toy_files
         facts.write_text(facts.read_text() + "e9\tbornOn\t1900\n")
@@ -853,6 +865,99 @@ class TestBadValueBeforeAnyFile:
         argv = ("eval", "--facts", f"{data}/facts.tsv", "--aliases", f"{data}/aliases.tsv",
                 "--questions", f"{data}/questions.tsv", "--index", "missing/toy.qaidx")
         self.check(capsys, argv, "eval needs --entity-model and/or --relation-model")
+
+
+def qa(*argv):
+    """`qa argv` run as a subprocess: its exit code and stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "kbqa.cli", *map(str, argv)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    return result.returncode, result.stderr
+
+
+class TestKindOrTaskThatCannotServe:
+    """A model kind or task that cannot serve the command exits with a named
+    error, never a traceback or a run that changes nothing.  Each case runs
+    `qa` as a subprocess; MISSING names data files that do not exist, so a
+    2 there means the command stopped before reading any."""
+
+    def check(self, argv, code, reason):
+        got, err = qa(*argv)
+        assert got == code, err
+        assert "Traceback" not in err
+        assert reason in err
+
+    @pytest.mark.parametrize("task, kind, serves", [("RELATION", "NAIVE_ALL_ENTITY", "ENTITY"),
+                                                    ("ENTITY", "MAJORITY", "RELATION"),
+                                                    ("ENTITY", "NB_MULTINOMIAL", "RELATION")])
+    def test_train_baseline_for_the_other_task(self, task, kind, serves):
+        self.check(("train", *MISSING, "--task", task, "--kind", kind, "--out", "m.qam"), 2,
+                   f"{kind} serves the {serves} task, not {task}")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("--task", "RELATION", "--kind", "NAIVE_ALL_ENTITY", "--dim", "learning_rate=0.1"),
+         "NAIVE_ALL_ENTITY serves the ENTITY task, not RELATION"),
+        (("--task", "RELATION", "--kind", "MAJORITY", "--dim", "learning_rate=0.1,0.2"),
+         "tune searches how neural kinds train, and MAJORITY is not one"),
+        (("--task", "RELATION", "--kind", "CONV_GRU", "--dim", "hidden_ratio=1,4"),
+         "--dim hidden_ratio needs two recurrent layers, but this CONV_GRU has 1"),
+        (("--task", "ENTITY", "--kind", "BILSTM2", "--hidden", "6", "--dim", "hidden_ratio=2"),
+         "--dim hidden_ratio needs two recurrent layers, but this BILSTM2 has 1"),
+    ])
+    def test_tune_that_cannot_change_the_model(self, argv, reason):
+        self.check(("tune", *MISSING, *argv), 2, reason)
+
+    def test_benchmark_baseline_kind(self):
+        self.check(("benchmark", *MISSING, "--kinds", "MAJORITY,BIGRU2"), 2,
+                   "argument --kinds: benchmark compares neural kinds, and MAJORITY is not one")
+
+    def test_model_in_the_wrong_slot(self, indexed, tmp_path):
+        em, rm = train_toy_models(indexed, tmp_path)
+        facts, aliases, questions, index = indexed
+        ask = ("ask", "--question", "How old is Tom Hanks?", "--index", index)
+        data = ("eval", "--facts", facts, "--aliases", aliases, "--questions", questions,
+                "--index", index, "--split", "all")
+        wrong_relation = f"{em} holds a model for the ENTITY task, not RELATION"
+        wrong_entity = f"{rm} holds a model for the RELATION task, not ENTITY"
+        self.check((*ask, "--entity-model", em, "--relation-model", em), 1, wrong_relation)
+        self.check((*ask, "--entity-model", rm, "--relation-model", rm), 1, wrong_entity)
+        self.check((*data, "--relation-model", em), 1, wrong_relation)
+        self.check((*data, "--entity-model", rm), 1, wrong_entity)
+
+    def test_saved_baseline_for_the_other_task(self, indexed, tmp_path):
+        """A model file that pairs a baseline kind with the other task (older
+        versions trained and saved them) is rejected at line 1."""
+        em, _ = train_toy_models(indexed, tmp_path)
+        bad = tmp_path / "bad.qam"
+        bad.write_bytes(em.read_bytes())
+        edit_text(bad, lambda text: text.replace("task=ENTITY", "task=RELATION", 1))
+        self.check(("ask", "--question", "How old is Tom Hanks?", "--index", indexed[3],
+                    "--entity-model", em, "--relation-model", bad), 1,
+                   f"{bad}:1: bad model header: ValueError('NAIVE_ALL_ENTITY serves the ENTITY task")
+
+
+def test_tune_trains_the_descriptor_of_each_config(indexed, capsys, monkeypatch):
+    """Through `qa tune`: hidden_ratio sets the first of two recurrent
+    layers to that multiple of the second, and dropout sets every rate."""
+    trained = []
+    build = cli.build_model
+
+    def recording(desc, *args, **kwargs):
+        trained.append(desc)
+        return build(desc, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_model", recording)
+    facts, aliases, questions, _ = indexed
+    assert run_cli("tune", "--facts", str(facts), "--aliases", str(aliases),
+                   "--questions", str(questions), "--task", "RELATION", "--kind", "BIGRU2",
+                   "--hidden", "8,4", "--embedding-dim", "6", "--epochs", "1",
+                   "--batch-size", "2", "--ratios", "0.5,0.5,0.0", "--budget", "4",
+                   "--dim", "hidden_ratio=0.5,3", "--dim", "dropout=0,0.4") == 0
+    assert sorted((d.hidden_sizes, d.dropout_rates) for d in trained) == [
+        ((2, 4), (0.0, 0.0)), ((2, 4), (0.4, 0.4)), ((12, 4), (0.0, 0.0)), ((12, 4), (0.4, 0.4))]
+    assert "best: hidden_ratio=" in capsys.readouterr().out
 
 
 def test_benchmark_weight_decay_reaches_the_optimizer(toy_files, monkeypatch):

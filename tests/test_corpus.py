@@ -415,3 +415,17 @@ class TestLoadEmbeddings:
         path.write_text("a 0.1 0.2\na 0.3 0.4\n")
         with pytest.raises(ParseError):
             load_embeddings(str(path), 2, seed=1)
+
+    @pytest.mark.parametrize("row, message", [
+        ("c 0.5", "expected 2 values, got 1"),
+        ("c", "expected 2 values, got 0"),
+        ("c 0.5 x", "non-numeric embedding value"),
+        ("a 0.5 0.6", "duplicate token 'a'"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        """A bad row after a blank line is named at its own line."""
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 0.1 0.2\n\n{row}\nb 0.3 0.4\n")
+        with pytest.raises(ParseError) as err:
+            load_embeddings(str(path), 2, seed=1)
+        assert str(err.value) == f"{path}:3: {message}"

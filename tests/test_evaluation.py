@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kbqa.corpus import AnnotatedQuestion, Fact, KnowledgeBase, random_embedding_table
+from kbqa.corpus import AnnotatedQuestion, Fact, random_embedding_table
 from kbqa.evaluation import (
     basin_hop_tune,
     benchmark_training,
@@ -19,15 +19,16 @@ from kbqa.models import (
     default_descriptor,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import make_optimizer
 from kbqa.pipeline import StructuredQuery
 
-from corpora import entity_template_corpus, trigger_relation_corpus
+from corpora import entity_template_corpus, from_facts, trigger_relation_corpus
 from oracles import evaluate_reference
 
 
 def kb_of(aliases, facts=()):
-    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
+    return from_facts((Fact(*f) for f in facts), aliases)
 
 
 TOY_KB = kb_of(
@@ -268,6 +269,23 @@ class TestBasinHopTune:
         with pytest.raises(ValueError):
             basin_hop_tune({"x": [1]}, lambda c: 0.0, -1, seed=0)
 
+    @pytest.mark.parametrize("budget", range(15))
+    def test_budget_on_a_3x4_grid(self, budget):
+        """Each objective call scores a new point until the budget or the 12
+        points run out, and the best point is the trace's first maximum.
+        The scores repeat; some budgets end in the middle of a climb, and
+        some hops land on a better point."""
+        space = {"x": [0, 1, 2], "y": [0, 1, 2, 3]}
+        rng = np.random.default_rng(20)
+        score = {(x, y): float(rng.integers(0, 4)) for x in range(3) for y in range(4)}
+        best, trace = basin_hop_tune(space, lambda c: score[c["x"], c["y"]], budget, seed=4)
+        points = [(c["x"], c["y"]) for c, _ in trace]
+        assert len(trace) == min(budget, 12)
+        assert len(set(points)) == len(points)
+        assert [s for _, s in trace] == [score[p] for p in points]
+        # max returns the first of equal maxima; no trace leaves the midpoint
+        assert best == (max(trace, key=lambda t: t[1])[0] if trace else {"x": 1, "y": 2})
+
 
 class TestBenchmark:
     def test_param_counts_and_timing(self):
@@ -315,6 +333,18 @@ class TestBenchmark:
             )
             assert conv.descriptor.hidden_sizes[0] == gru2.descriptor.hidden_sizes[1]
             assert conv.trainable_param_count() < gru2.trainable_param_count()
+
+    @pytest.mark.parametrize("kind", ["MAJORITY", "NB_MULTINOMIAL"])
+    def test_neural_kinds_only(self, kind):
+        with pytest.raises(ValueError, match=f"benchmark times neural kinds only, not {kind}"):
+            benchmark_training(
+                [default_descriptor("RELATION", "BIGRU2"), default_descriptor("RELATION", kind)],
+                [],
+                TrainConfig(epochs=1),
+                None,
+                None,
+                lambda: make_optimizer("SGD", 0.1),
+            )
 
     def test_needs_two_descriptors(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ from kbqa.models import (
     predict_tags,
     train,
 )
-from kbqa.neural import TrainConfig, grad_check, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.gradcheck import grad_check
+from kbqa.neural.optim import make_optimizer
 
 from conftest import fix_tagger
 from corpora import trigger_relation_corpus
@@ -73,7 +75,7 @@ class TestTruncation:
         model = build_model(desc, embeddings, None, vocab_tokens=vocab, max_len=4, seed=1)
         fix_tagger(model, 1)
         pred = predict_tags(model, ["w"] * 9)
-        assert pred.tags == (1, 1, 1, 1, 0, 0, 0, 0, 0)
+        assert pred.mapped_tags == (1, 1, 1, 1, 0, 0, 0, 0, 0)
         assert not pred.degraded
 
     def test_training_truncates_targets(self, corpus, embeddings):

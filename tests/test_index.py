@@ -17,6 +17,7 @@ from kbqa.index import (
 )
 from kbqa.textproc import ngrams
 
+from corpora import from_facts
 from oracles import (
     brute_answer,
     brute_rank,
@@ -32,7 +33,7 @@ from oracles import (
 
 
 def kb_of(aliases: dict, facts=()) -> KnowledgeBase:
-    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
+    return from_facts((Fact(*f) for f in facts), aliases)
 
 
 THREE_ALIAS_KB = kb_of(
@@ -386,6 +387,6 @@ class TestAnswerOracle:
             else:
                 obj, fact, score = expected
                 assert got is not None
-                assert got.object == obj
+                assert got.supporting_fact.object == obj
                 assert got.supporting_fact == fact
                 assert got.score == score

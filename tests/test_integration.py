@@ -21,7 +21,8 @@ from kbqa.models import (
     predict_tags,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import make_optimizer
 from kbqa.pipeline import answer, build_structured_query
 
 from corpora import entity_template_corpus

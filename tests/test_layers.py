@@ -18,16 +18,11 @@ from kbqa.models import (
     build_model,
     train,
 )
-from kbqa.neural import (
-    Adam,
-    BidirectionalLayer,
-    Conv1dLayer,
-    RecurrentDirection,
-    TrainConfig,
-    grad_check,
-)
 from kbqa.neural import layers
-from kbqa.neural.layers import carve
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.gradcheck import grad_check
+from kbqa.neural.layers import BidirectionalLayer, Conv1dLayer, RecurrentDirection, carve
+from kbqa.neural.optim import Adam
 
 from conftest import standalone
 from corpora import entity_template_corpus
@@ -467,8 +462,7 @@ import time
 
 import numpy as np
 
-from kbqa.neural import BidirectionalLayer, RecurrentDirection
-from kbqa.neural.layers import layout_size
+from kbqa.neural.layers import BidirectionalLayer, RecurrentDirection, layout_size
 
 assert threading.active_count() == 1, "importing the layers started a thread"
 rng = np.random.default_rng(7)

@@ -8,6 +8,7 @@ from kbqa.corpus import AnnotatedQuestion, random_embedding_table
 from kbqa.errors import ParseError
 from kbqa.model_io import load_model, save_model
 from kbqa.models import (
+    BASELINE_KINDS,
     NEURAL_KINDS,
     TASKS,
     ArchitectureDescriptor,
@@ -23,7 +24,8 @@ from kbqa.models import (
     predict_tags_batch,
     train,
 )
-from kbqa.neural import TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import make_optimizer
 from kbqa.textproc import noun_chunk_filter, pos_tag
 
 from conftest import (
@@ -89,6 +91,19 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             ArchitectureDescriptor("ENTITY", "TRANSFORMER")
 
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("kind", NEURAL_KINDS + BASELINE_KINDS)
+    def test_baselines_serve_one_task(self, task, kind):
+        """A neural kind serves either task; MAJORITY and NB_MULTINOMIAL serve
+        only RELATION, and NAIVE_ALL_ENTITY only ENTITY."""
+        serves = {"MAJORITY": "RELATION", "NB_MULTINOMIAL": "RELATION",
+                  "NAIVE_ALL_ENTITY": "ENTITY"}.get(kind, task)
+        if serves == task:
+            assert default_descriptor(task, kind).task == task
+        else:
+            with pytest.raises(ValueError, match=f"{kind} serves the {serves} task, not {task}"):
+                default_descriptor(task, kind)
+
     @pytest.mark.parametrize("kind", ["BIGRU2", "MAJORITY"])
     @pytest.mark.parametrize("desk_scale", [0, -3])
     def test_desk_scale_below_one(self, kind, desk_scale):
@@ -139,7 +154,6 @@ class TestPredictTags:
             ArchitectureDescriptor("ENTITY", "NAIVE_ALL_ENTITY"), None, None
         )
         pred = predict_tags(model, ["where", "was", "tom", "hanks", "born"])
-        assert pred.tags == (1, 1, 1, 1, 1)
         assert pred.mapped_tags == (1, 1, 1, 1, 1)
         assert not pred.degraded
 
@@ -151,7 +165,7 @@ class TestPredictTags:
         )
         fix_tagger(model, 1)
         pred = predict_tags(model, ["how", "old", "is", "tom", "hanks"], {"old": "ADJ"})
-        assert pred.tags == (1, 1)
+        assert pred.mapped_tags[3:] == (1, 1)
         assert pred.mapped_tags == (0, 0, 0, 1, 1)
 
     def test_all_zero_falls_back_to_all_ones(self, embeddings):
@@ -159,7 +173,7 @@ class TestPredictTags:
         model = build_model(desc, embeddings, None, vocab_tokens=["tom"], seed=4)
         fix_tagger(model, 0)
         pred = predict_tags(model, ["tom", "hanks"])
-        assert pred.tags == (1, 1)
+        assert pred.mapped_tags == (1, 1)
         assert pred.degraded
 
     def test_filtered_positions_never_tagged(self, embeddings):
@@ -272,8 +286,12 @@ class TestBatchedPrediction:
     def test_all_zero_tagger_falls_back(self, kind, embeddings):
         model = neural_model(kind, "ENTITY", embeddings, noun_filter=True)
         fix_tagger(model, 0)
-        got = self.check_parity(model, mixed_questions(60, seed=1))
-        assert all(pred.degraded and set(pred.tags) == {1} for pred in got)
+        questions = mixed_questions(60, seed=1)
+        got = self.check_parity(model, questions)
+        # every token the noun filter kept is tagged 1
+        kept = [noun_chunk_filter(q, pos_tag(q)).index_map for q in questions]
+        assert all(pred.degraded and {pred.mapped_tags[i] for i in where} == {1}
+                   for pred, where in zip(got, kept))
 
     def test_one_question_is_one_call(self, embeddings):
         model = neural_model("BILSTM2", "ENTITY", embeddings)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from kbqa.gradsuite import build_check_model, suite_architectures
-from kbqa.neural import (
+from kbqa.neural.gradcheck import grad_check
+from kbqa.neural.layers import (
     BidirectionalLayer,
     Conv1dLayer,
     DenseLayer,
     DropoutLayer,
     RecurrentDirection,
+    cross_entropy,
+    softmax,
 )
-from kbqa.neural.gradcheck import grad_check
-from kbqa.neural.layers import cross_entropy, softmax
 
 from conftest import standalone
 from oracles import conv1d_scalar, scalar_sequence

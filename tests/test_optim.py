@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kbqa.neural import Adam, SGD, make_optimizer
+from kbqa.neural.optim import Adam, SGD, make_optimizer
 
 
 class TestSGD:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kbqa.corpus import Fact, KnowledgeBase
+from kbqa.corpus import Fact
 from kbqa.index import build_entity_index, build_reach_index
 from kbqa.models import (
     ArchitectureDescriptor,
@@ -10,11 +10,12 @@ from kbqa.models import (
 )
 from kbqa.pipeline import StructuredQuery, answer, build_structured_query
 
+from corpora import from_facts
 from oracles import brute_answer, random_kb, random_phrase
 
 
 def kb_of(aliases, facts=()):
-    return KnowledgeBase.from_facts((Fact(*f) for f in facts), aliases)
+    return from_facts((Fact(*f) for f in facts), aliases)
 
 
 class OracleEntityModel:
@@ -75,7 +76,7 @@ class TestAnswer:
             build_reach_index(kb),
         )
         assert result is not None
-        assert result.object == "1956"
+        assert result.supporting_fact.object == "1956"
         assert result.supporting_fact == Fact("e1", "bornOn", "1956")
         assert not result.degraded
 
@@ -137,7 +138,7 @@ class TestAnswer:
                 assert got is None
             else:
                 checked += 1
-                assert (got.object, got.supporting_fact, got.score) == want
+                assert (got.supporting_fact.object, got.supporting_fact, got.score) == want
         assert checked > 5
 
     def test_unrelated_fact_does_not_change_answer(self):
@@ -153,5 +154,5 @@ class TestAnswer:
             facts=[("e1", "bornOn", "1956"), ("e9", "bornOn", "1900")],
         )
         after = answer(query, build_entity_index(bigger), build_reach_index(bigger))
-        assert before.object == after.object
+        assert before.supporting_fact.object == after.supporting_fact.object
         assert before.supporting_fact == after.supporting_fact

@@ -156,3 +156,23 @@ class TestLexiconFile:
         path.write_text("tom\tNOPE\n")
         with pytest.raises(ParseError):
             load_pos_lexicon(str(path))
+
+    @pytest.mark.parametrize("row, message", [
+        ("hanks", "expected 2 tab-separated fields, got 1"),
+        ("hanks\tPROPN\tNOUN", "expected 2 tab-separated fields, got 3"),
+        ("\tNOUN", "empty field"),
+        ("hanks\t", "empty field"),
+        ("hanks\tNOPE", "unknown tag 'NOPE'"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        """A bad row after a blank line is named at its own line."""
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"tom\tPROPN\n\n{row}\nold\tADJ\n")
+        with pytest.raises(ParseError) as err:
+            load_pos_lexicon(str(path))
+        assert str(err.value) == f"{path}:3: {message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("\ntom\tPROPN\n\n\nold\tADJ\n\n")
+        assert load_pos_lexicon(str(path)) == {"tom": "PROPN", "old": "ADJ"}

@@ -9,7 +9,8 @@ from kbqa.models import (
     predict_relation,
     train,
 )
-from kbqa.neural import OPTIMIZER_KINDS, TrainConfig, make_optimizer
+from kbqa.neural.config import TrainConfig
+from kbqa.neural.optim import OPTIMIZER_KINDS, make_optimizer
 
 from corpora import entity_template_corpus, trigger_relation_corpus
 from oracles import PerViewOptimizer

@@ -11,15 +11,21 @@ read as bytes, once; only the text is decoded, and the payload must be
 exactly as long as the declared arrays.  Every defect raises
 ParseError(path, line).  `text_lines`, `_read_fields` (the rows of a
 tab-separated file) and `undecodable` serve the plain-text data files.
+`replace_file` writes artifacts and reports whole or not at all, and
+`require_writable` checks its destination before any work is done.
 """
 
 import math
+import os
+from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, QAError
 
-__all__ = ["Artifact", "text_lines", "undecodable", "write_artifact"]
+__all__ = [
+    "Artifact", "replace_file", "require_writable", "text_lines", "undecodable", "write_artifact"
+]
 
 
 def _decode(path: str, data: bytes) -> str:
@@ -186,7 +192,37 @@ def write_artifact(path: str, magic: str, lines: list[str], arrays: list[np.ndar
     dtypes = ["<i4" if a.dtype.kind == "i" and a.dtype.itemsize == 4 else "<f8" for a in arrays]
     size = sum(a.size * np.dtype(t).itemsize for a, t in zip(arrays, dtypes))
     text = "\n".join([f"{magic}payload={size} {lines[0]}", *lines[1:]]) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        for a, dtype in zip(arrays, dtypes):
-            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    payload = (np.ascontiguousarray(a, dtype=dtype).tobytes() for a, dtype in zip(arrays, dtypes))
+    replace_file(path, chain([text.encode("utf-8")], payload))
+
+
+def require_writable(path: str) -> None:
+    """QAError unless replace_file can write path: its directory must exist
+    and be writable, unless path is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise QAError(f"{path}: {folder} is not a writable directory")
+
+
+def replace_file(path: str, chunks) -> None:
+    """Write the byte strings of chunks as the file path.  They go to a new
+    file in path's directory, which replaces path once all are written, so
+    a write that fails leaves path as it was.  A path that exists but is
+    not a regular file, such as /dev/null, is written in place, and a
+    symbolic link is followed."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")  # the mode any new file gets, as open(path, "wb") would give it
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

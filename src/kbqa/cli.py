@@ -8,7 +8,8 @@ its config key accept the same values.  Options may come from a flat
 key=value config file (--config); explicit command-line flags always win.
 A bad value exits 2 while the command line is parsed, before any data
 file is read.  Exit codes: 0 success, 1 domain error (bad data, missing
-model file), 2 usage error.
+model file, a path that cannot be read or written, a closed stdout),
+2 usage error.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .corpus import (
     random_embedding_table,
     split_dataset,
 )
-from .artifact import text_lines
+from .artifact import replace_file, require_writable, text_lines
 from .errors import ParseError, QAError, UsageError
 from .evaluation import basin_hop_tune, benchmark_training, evaluate
 from .gradsuite import run_gradcheck_suite
@@ -142,7 +143,11 @@ def _dimension(text: str) -> tuple[str, list]:
         raise ValueError(f"expected KEY=V1,V2,..., got {text!r}")
     if key not in _TUNING:
         raise ValueError(f"unknown tuning dimension {key!r}, expected one of {', '.join(_TUNING)}")
-    return key, list(_listed(_TUNING[key])(values))
+    parsed = list(_listed(_TUNING[key])(values))
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ValueError(f"{key} repeats the value {value}")
+    return key, parsed
 
 
 # -- the option table ---------------------------------------------------------
@@ -378,32 +383,29 @@ def _descriptor_of(opts, hidden_ratio=None, dropout=None):
     return replace(desc, hidden_sizes=hidden, dropout_rates=rates)
 
 
-def _train_config(opts, l1_override=None) -> TrainConfig:
+def _train_config(opts) -> TrainConfig:
     return TrainConfig(
         epochs=opts.epochs,
         batch_size=opts.batch_size,
         max_len=opts.max_len,
-        l1_activity=opts.l1_activity if l1_override is None else l1_override,
+        l1_activity=opts.l1_activity,
         seed=opts.seed,
         freeze_embeddings=opts.freeze_embeddings,
     )
 
 
-def _optimizer(opts, learning_rate=None):
+def _optimizer(opts):
     return make_optimizer(
         opts.optimizer,
-        learning_rate if learning_rate is not None else opts.learning_rate,
+        opts.learning_rate,
         **({} if opts.optimizer == "SGD" else {"weight_decay": opts.weight_decay}),
     )
 
 
-def _build_and_train(opts, split, lexicon, desc, config=None, learning_rate=None):
+def _build_and_train(opts, split, lexicon, desc, embeddings):
     label_space = None
     if desc.task == "RELATION":
         label_space = RelationLabelSpace.from_questions(split.train)
-    embeddings = None
-    if desc.kind in NEURAL_KINDS:
-        embeddings = _embeddings_of(opts, split.train)
     vocab = [tok for q in split.train for tok in q.tokens]
     model = build_model(
         desc,
@@ -415,9 +417,8 @@ def _build_and_train(opts, split, lexicon, desc, config=None, learning_rate=None
         freeze_embeddings=opts.freeze_embeddings,
         alpha=opts.alpha,
     )
-    config = config if config is not None else _train_config(opts)
-    optimizer = _optimizer(opts, learning_rate)
-    log = train(model, split.train, config, optimizer, valid_set=split.valid, lexicon=lexicon)
+    log = train(model, split.train, _train_config(opts), _optimizer(opts), valid_set=split.valid,
+                lexicon=lexicon)
     return model, log
 
 
@@ -430,6 +431,7 @@ def run(command: Command) -> int:
     verb = command.verb
 
     if verb == "build-index":
+        require_writable(opts.out)
         kb = load_facts(_require_file(opts.facts, "facts"), _require_file(opts.aliases, "aliases"))
         entity_index = build_entity_index(kb)
         reach_index = build_reach_index(kb)
@@ -440,11 +442,13 @@ def run(command: Command) -> int:
 
     if verb == "train":
         desc = _descriptor_of(opts)
+        require_writable(opts.out)
         _, split = _load_split(opts)
         if not split.train:
             raise QAError("training split is empty")
         lexicon = _lexicon_of(opts)
-        model, log = _build_and_train(opts, split, lexicon, desc)
+        embeddings = _embeddings_of(opts, split.train) if desc.kind in NEURAL_KINDS else None
+        model, log = _build_and_train(opts, split, lexicon, desc, embeddings)
         for stats in log:
             print(
                 f"epoch {stats.epoch} train_loss {stats.train_loss:.6f} "
@@ -457,6 +461,8 @@ def run(command: Command) -> int:
     if verb == "eval":
         if not (opts.entity_model or opts.relation_model):
             raise UsageError("eval needs --entity-model and/or --relation-model")
+        if opts.report_out:
+            require_writable(opts.report_out + ".txt")
         _, split = _load_split(opts)
         dataset = {
             "train": split.train,
@@ -491,10 +497,8 @@ def run(command: Command) -> int:
         text = report.to_text()
         print(text, end="")
         if opts.report_out:
-            with open(opts.report_out + ".txt", "w", encoding="utf-8") as fh:
-                fh.write(text)
-            with open(opts.report_out + ".tsv", "w", encoding="utf-8") as fh:
-                fh.write(report.to_tsv())
+            replace_file(opts.report_out + ".txt", [text.encode("utf-8")])
+            replace_file(opts.report_out + ".tsv", [report.to_tsv().encode("utf-8")])
             print(f"wrote {opts.report_out}.txt and {opts.report_out}.tsv")
         return 0
 
@@ -530,6 +534,10 @@ def run(command: Command) -> int:
         return 0 if all_pass else 1
 
     if verb == "tune":
+        keys = [key for key, _ in opts.dim]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise UsageError(f"--dim {key} is given more than once")
         space = dict(opts.dim)
         desc = _descriptor_of(opts)
         if desc.kind not in NEURAL_KINDS:
@@ -541,6 +549,7 @@ def run(command: Command) -> int:
         if not split.valid:
             raise QAError("tuning needs a non-empty validation split")
         lexicon = _lexicon_of(opts)
+        embeddings = _embeddings_of(opts, split.train)
 
         def objective(cfg):
             desc = _descriptor_of(
@@ -548,15 +557,9 @@ def run(command: Command) -> int:
                 hidden_ratio=cfg.get("hidden_ratio"),
                 dropout=cfg.get("dropout"),
             )
-            config = _train_config(opts, l1_override=cfg.get("l1_activity"))
-            _, log = _build_and_train(
-                opts,
-                split,
-                lexicon,
-                desc,
-                config=config,
-                learning_rate=cfg.get("learning_rate"),
-            )
+            trained = {k: cfg[k] for k in ("learning_rate", "l1_activity") if k in cfg}
+            trial = argparse.Namespace(**{**vars(opts), **trained})
+            _, log = _build_and_train(trial, split, lexicon, desc, embeddings)
             return max((s.valid_accuracy for s in log), default=0.0)
 
         best, trace = basin_hop_tune(space, objective, opts.budget, opts.seed)
@@ -598,13 +601,24 @@ def run(command: Command) -> int:
 def main(argv=None) -> int:
     try:
         command = parse_args(sys.argv[1:] if argv is None else argv)
-        return run(command)
+        code = run(command)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except (UsageError, ValueError) as exc:
         # ValueErrors out of the domain modules all mean bad input values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QAError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader has gone: what is left goes to devnull, so that
+        # the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

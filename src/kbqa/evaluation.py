@@ -8,6 +8,7 @@ level, since either granularity is defensible for a single headline
 number.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -158,10 +159,11 @@ def evaluate(
 def basin_hop_tune(
     space: dict[str, list], objective, budget: int, seed: int
 ) -> tuple[dict, list[tuple[dict, float]]]:
-    """Maximize objective over a finite grid: hill-climb over single-dimension
-    neighbors from the space's midpoint, with seeded random restarts once a
-    local optimum is reached.  budget bounds the number of objective calls;
-    repeat visits are served from a cache for free.
+    """Maximize objective over a finite grid: hill-climb from index n // 2 of
+    each dimension, moving to the first neighbor that scores higher
+    (dimensions in order, the lower value first), with a seeded random hop
+    at each local optimum.  budget bounds the number of distinct points
+    scored; a revisit costs nothing.  Ties go to the point scored first.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -173,60 +175,28 @@ def basin_hop_tune(
     def config_of(idx):
         return {d: space[d][i] for d, i in zip(dims, idx)}
 
-    start = tuple(s // 2 for s in sizes)
-    if budget == 0:
-        return config_of(start), []
-
-    rng = rng_for(seed, "tune")
-    cache: dict[tuple, float] = {}
-    trace: list[tuple[dict, float]] = []
-    calls = 0
+    # each point's score, in call order: the cache, the trace, and the best
+    # point as the first maximum
+    scores: dict[tuple, float] = {}
 
     def score_of(idx):
-        nonlocal calls
-        if idx in cache:
-            return cache[idx]
-        if calls >= budget:
-            return None
-        calls += 1
-        value = float(objective(config_of(idx)))
-        cache[idx] = value
-        trace.append((config_of(idx), value))
-        return value
+        if idx not in scores:
+            scores[idx] = float(objective(config_of(idx)))
+        return scores[idx]
 
-    total_points = 1
-    for s in sizes:
-        total_points *= s
-
+    start = tuple(s // 2 for s in sizes)
+    limit = min(budget, math.prod(sizes))
+    rng = rng_for(seed, "tune")
     current = start
-    current_score = score_of(current)
-    best_idx, best_score = current, current_score
-    while calls < budget and len(cache) < total_points:
-        improved = False
-        for di in range(len(dims)):
-            for delta in (-1, 1):
-                j = current[di] + delta
-                if not 0 <= j < sizes[di]:
-                    continue
-                neighbor = current[:di] + (j,) + current[di + 1 :]
-                value = score_of(neighbor)
-                if value is None:
-                    break
-                if value > best_score:
-                    best_idx, best_score = neighbor, value
-                if value > current_score:
-                    current, current_score = neighbor, value
-                    improved = True
-                    break
-            if improved or calls >= budget:
-                break
-        if not improved and calls < budget:
-            # local optimum: hop to a seeded random point, which score_of scores
-            current = tuple(int(rng.integers(0, s)) for s in sizes)
-            current_score = score_of(current)
-            if current_score > best_score:
-                best_idx, best_score = current, current_score
-    return config_of(best_idx), trace
+    while len(scores) < limit:
+        here = score_of(current)
+        neighbors = [current[:d] + (j,) + current[d + 1 :] for d in range(len(dims))
+                     for j in (current[d] - 1, current[d] + 1) if 0 <= j < sizes[d]]
+        # the first neighbor that scores higher, else a hop to a seeded random point
+        better = (n for n in neighbors if len(scores) < limit and score_of(n) > here)
+        current = next(better, None) or tuple(int(rng.integers(0, s)) for s in sizes)
+    best = max(scores, key=scores.get, default=start)
+    return config_of(best), [(config_of(idx), value) for idx, value in scores.items()]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from kbqa.models import TagPrediction
 from kbqa.neural.layers import carve
 from kbqa.neural.optim import SGD, Adam
 from kbqa.pipeline import build_structured_query
+from kbqa.seeding import rng_for
 from kbqa.textproc import ngrams, noun_chunk_filter, pos_tag
 
 from corpora import from_facts
@@ -605,3 +606,79 @@ def evaluate_reference(
             correct += int(question_correct(query, q, entity_index, k))
         rows.append(ReportRow(name, end_to_end_accuracy=correct / len(dataset)))
     return AccuracyReport(tuple(rows))
+
+
+def basin_hop_tune_reference(
+    space: dict[str, list], objective, budget: int, seed: int
+) -> tuple[dict, list[tuple[dict, float]]]:
+    """Maximize objective over a finite grid: hill-climb over single-dimension
+    neighbors from the space's midpoint, with seeded random restarts once a
+    local optimum is reached.  budget bounds the number of objective calls;
+    repeat visits are served from a cache for free.  basin_hop_tune must
+    return what this returns and call the objective on the same points in
+    the same order.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if not space or any(not values for values in space.values()):
+        raise ValueError("tuning space must have non-empty dimensions")
+    dims = list(space)
+    sizes = [len(space[d]) for d in dims]
+
+    def config_of(idx):
+        return {d: space[d][i] for d, i in zip(dims, idx)}
+
+    start = tuple(s // 2 for s in sizes)
+    if budget == 0:
+        return config_of(start), []
+
+    rng = rng_for(seed, "tune")
+    cache: dict[tuple, float] = {}
+    trace: list[tuple[dict, float]] = []
+    calls = 0
+
+    def score_of(idx):
+        nonlocal calls
+        if idx in cache:
+            return cache[idx]
+        if calls >= budget:
+            return None
+        calls += 1
+        value = float(objective(config_of(idx)))
+        cache[idx] = value
+        trace.append((config_of(idx), value))
+        return value
+
+    total_points = 1
+    for s in sizes:
+        total_points *= s
+
+    current = start
+    current_score = score_of(current)
+    best_idx, best_score = current, current_score
+    while calls < budget and len(cache) < total_points:
+        improved = False
+        for di in range(len(dims)):
+            for delta in (-1, 1):
+                j = current[di] + delta
+                if not 0 <= j < sizes[di]:
+                    continue
+                neighbor = current[:di] + (j,) + current[di + 1 :]
+                value = score_of(neighbor)
+                if value is None:
+                    break
+                if value > best_score:
+                    best_idx, best_score = neighbor, value
+                if value > current_score:
+                    current, current_score = neighbor, value
+                    improved = True
+                    break
+            if improved or calls >= budget:
+                break
+        if not improved and calls < budget:
+            # local optimum: hop to a seeded random point, which score_of scores
+            current = tuple(int(rng.integers(0, s)) for s in sizes)
+            current_score = score_of(current)
+            if current_score > best_score:
+                best_idx, best_score = current, current_score
+    return config_of(best_idx), trace

@@ -2,12 +2,17 @@
 pin the QAMODEL 2 and QAIDX 3 layouts, and any damage to a file either
 leaves a usable artifact or raises ParseError."""
 
+import errno
+import io
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kbqa import artifact
 from kbqa.corpus import load_facts, load_questions, random_embedding_table
 from kbqa.errors import ParseError
 from kbqa.index import (
@@ -148,6 +153,65 @@ def test_golden_index_is_what_data_toy_builds(tmp_path):
     save_indexes(build_entity_index(kb), build_reach_index(kb), str(path))
     with open(GOLDEN_INDEX, "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+class _FullDisk(io.FileIO):
+    """A file whose second write stores half its bytes, then fails as a
+    full disk does."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            super().write(bytes(data)[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.qam"
+    save_model(load_model(GOLDEN), str(path))
+    before = path.read_bytes()
+    indexes = load_indexes(GOLDEN_INDEX)
+    monkeypatch.setattr(artifact, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_indexes(*indexes, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.qam"]
+
+
+def test_a_write_replaces_a_regular_file_and_writes_others_in_place(tmp_path):
+    """A regular file is replaced by a new one, with the mode the umask
+    gives a new file (not a tempfile's 0600).  A named pipe, written
+    through a symbolic link as /dev/stdout is, stays a pipe, and its reader
+    gets the artifact; a symbolic link to a regular file stays a link to
+    it."""
+    path = tmp_path / "m.qam"
+    path.write_bytes(b"old")
+    path.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        save_model(load_model(GOLDEN), str(path))
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    (tmp_path / "pipe_link").symlink_to(fifo)
+    save_indexes(*load_indexes(GOLDEN_INDEX), str(tmp_path / "pipe_link"))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and (tmp_path / "pipe_link").is_symlink()
+    link = tmp_path / "link.qaidx"
+    link.symlink_to(tmp_path / "target.qaidx")
+    save_indexes(*load_indexes(GOLDEN_INDEX), str(link))
+    assert link.is_symlink()
+    with open(GOLDEN_INDEX, "rb") as fh:
+        assert got == [fh.read()] and (tmp_path / "target.qaidx").read_bytes() == got[0]
 
 
 # every n-gram of the toy aliases, and one that no alias has

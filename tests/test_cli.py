@@ -809,6 +809,10 @@ class TestBadValueBeforeAnyFile:
         ("train", "--kind", "bogus", "kind=bogus", "unknown model kind 'bogus'"),
         ("tune", "--dim", "foo=1", None, "unknown tuning dimension 'foo'"),
         ("tune", "--dim", "learning_rate=0", None, "must be > 0, got 0.0"),
+        ("tune", "--dim", "learning_rate=0.1,0.10", None, "learning_rate repeats the value 0.1"),
+        ("tune", "--dim", "dropout=0.2,0,0.2", None, "dropout repeats the value 0.2"),
+        ("tune", "--dim", "learning_rate=0.001,0.1", None,
+         "--dim learning_rate is given more than once"),
         ("train", "--dropout", "0.1,1", "dropout=0.1,1", "must be < 1, got 1.0"),
         ("train", "--ratios", "0.5,0.2,0.2", "ratios=0.5,0.2,0.2", "must sum to 1"),
         ("benchmark", "--kinds", "CONV_GRU,TRANSFORMER", None, "unknown model kind 'TRANSFORMER'"),
@@ -867,13 +871,13 @@ class TestBadValueBeforeAnyFile:
         self.check(capsys, argv, "eval needs --entity-model and/or --relation-model")
 
 
-def qa(*argv):
+def qa(*argv, stdout=subprocess.PIPE):
     """`qa argv` run as a subprocess: its exit code and stderr."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-m", "kbqa.cli", *map(str, argv)],
-                            capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-m", "kbqa.cli", *map(str, argv)], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     return result.returncode, result.stderr
 
 
@@ -938,6 +942,65 @@ class TestKindOrTaskThatCannotServe:
                    f"{bad}:1: bad model header: ValueError('NAIVE_ALL_ENTITY serves the ENTITY task")
 
 
+class TestPathErrors:
+    """A path that cannot be read or written, or a closed stdout, exits 1
+    with one line on stderr, never a traceback, and an output that is not
+    a regular file is written in place.  Each case runs `qa` as a
+    subprocess; MISSING names data files that do not exist, so an error
+    about the output shows that it was checked before any data file was
+    read."""
+
+    def check(self, argv, reason):
+        code, err = qa(*argv)
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert err == f"error: {reason}\n"
+
+    def test_output_in_a_missing_directory(self, toy_files, tmp_path):
+        facts, aliases, questions = toy_files
+        out = tmp_path / "missing" / "x"
+        not_there = f"{tmp_path / 'missing'} is not a writable directory"
+        self.check(("build-index", "--facts", facts, "--aliases", aliases,
+                    "--out", f"{out}.qaidx"), f"{out}.qaidx: {not_there}")
+        self.check(("train", *MISSING, "--task", "RELATION", "--kind", "MAJORITY",
+                    "--out", f"{out}.qam"), f"{out}.qam: {not_there}")
+        self.check(("eval", *MISSING, "--index", "missing/toy.qaidx",
+                    "--relation-model", "missing/r.qam", "--report-out", out),
+                   f"{out}.txt: {not_there}")
+
+    def test_output_that_is_a_directory(self, toy_files, tmp_path):
+        facts, aliases, _ = toy_files
+        self.check(("build-index", "--facts", facts, "--aliases", aliases, "--out", tmp_path),
+                   f"{tmp_path}: Is a directory")
+
+    def test_output_to_a_pipe(self, toy_files):
+        """`--out /dev/stdout` with stdout a pipe, which no path in the file
+        system names, is written in place."""
+        facts, aliases, _ = toy_files
+        read, write = os.pipe()
+        try:
+            result = qa("build-index", "--facts", facts, "--aliases", aliases,
+                        "--out", "/dev/stdout", stdout=write)
+        finally:
+            os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read().startswith(b"QAIDX 3 payload=")
+        assert result == (0, "")
+
+    def test_closed_stdout(self, indexed, tmp_path):
+        """stdout is a pipe whose reader has gone: exit 1 and nothing on
+        stderr, not even an "Exception ignored" line at shutdown."""
+        em, rm = train_toy_models(indexed, tmp_path)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = qa("ask", "--question", "How old is Tom Hanks?", "--index", indexed[3],
+                        "--entity-model", em, "--relation-model", rm, stdout=write)
+        finally:
+            os.close(write)
+        assert result == (1, "")
+
+
 def test_tune_trains_the_descriptor_of_each_config(indexed, capsys, monkeypatch):
     """Through `qa tune`: hidden_ratio sets the first of two recurrent
     layers to that multiple of the second, and dropout sets every rate."""
@@ -958,6 +1021,63 @@ def test_tune_trains_the_descriptor_of_each_config(indexed, capsys, monkeypatch)
     assert sorted((d.hidden_sizes, d.dropout_rates) for d in trained) == [
         ((2, 4), (0.0, 0.0)), ((2, 4), (0.4, 0.4)), ((12, 4), (0.0, 0.0)), ((12, 4), (0.4, 0.4))]
     assert "best: hidden_ratio=" in capsys.readouterr().out
+
+
+def test_tune_trains_with_the_options_of_each_config(indexed, monkeypatch):
+    """Through `qa tune`: a config's learning_rate reaches the optimizer and
+    its l1_activity the TrainConfig; every other training value is the
+    run's."""
+    optimizers, configs = [], []
+    make_optimizer, train = cli.make_optimizer, cli.train
+
+    def making(kind, learning_rate, **kwargs):
+        optimizers.append((kind, learning_rate, kwargs))
+        return make_optimizer(kind, learning_rate, **kwargs)
+
+    def training(model, train_set, config, optimizer, **kwargs):
+        configs.append(config)
+        return train(model, train_set, config, optimizer, **kwargs)
+
+    monkeypatch.setattr(cli, "make_optimizer", making)
+    monkeypatch.setattr(cli, "train", training)
+    facts, aliases, questions, _ = indexed
+    assert run_cli("tune", "--facts", str(facts), "--aliases", str(aliases),
+                   "--questions", str(questions), "--task", "RELATION", "--kind", "CONV_GRU",
+                   "--hidden", "4", "--embedding-dim", "6", "--epochs", "2", "--batch-size", "3",
+                   "--max-len", "12", "--seed", "7", "--ratios", "0.5,0.5,0.0",
+                   "--optimizer", "ADAM_DECOUPLED", "--weight-decay", "0.25",
+                   "--learning-rate", "0.5", "--l1-activity", "0.5", "--budget", "4",
+                   "--dim", "learning_rate=0.001,0.01", "--dim", "l1_activity=0,0.002") == 0
+    assert sorted((lr, c.l1_activity) for (_, lr, _), c in zip(optimizers, configs)) == [
+        (0.001, 0.0), (0.001, 0.002), (0.01, 0.0), (0.01, 0.002)]
+    assert {(kind, kwargs["weight_decay"]) for kind, _, kwargs in optimizers} == {
+        ("ADAM_DECOUPLED", 0.25)}
+    assert {(c.epochs, c.batch_size, c.max_len, c.seed) for c in configs} == {(2, 3, 12, 7)}
+
+
+def test_tune_reads_the_embeddings_once(indexed, tmp_path, capsys, monkeypatch):
+    """All trials of a `qa tune` run share one embedding table."""
+    calls = []
+    load_embeddings = cli.load_embeddings
+
+    def loading(*args):
+        calls.append(args)
+        return load_embeddings(*args)
+
+    monkeypatch.setattr(cli, "load_embeddings", loading)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{token} {i} 0.5 -0.5\n"
+                               for i, token in enumerate(["how", "old", "is", "tom", "hanks"])))
+    facts, aliases, questions, _ = indexed
+    assert run_cli("tune", "--facts", str(facts), "--aliases", str(aliases),
+                   "--questions", str(questions), "--task", "ENTITY", "--kind", "NT_BILSTM1",
+                   "--hidden", "4", "--embeddings", str(vectors), "--embedding-dim", "3",
+                   "--no-freeze-embeddings", "--epochs", "1", "--batch-size", "2",
+                   "--ratios", "0.5,0.5,0.0", "--budget", "3",
+                   "--dim", "learning_rate=0.001,0.01,0.1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["eval", "eval", "eval", "best:"]
+    assert len(calls) == 1
 
 
 def test_benchmark_weight_decay_reaches_the_optimizer(toy_files, monkeypatch):

@@ -24,7 +24,7 @@ from kbqa.neural.optim import make_optimizer
 from kbqa.pipeline import StructuredQuery
 
 from corpora import entity_template_corpus, from_facts, trigger_relation_corpus
-from oracles import evaluate_reference
+from oracles import basin_hop_tune_reference, evaluate_reference
 
 
 def kb_of(aliases, facts=()):
@@ -285,6 +285,38 @@ class TestBasinHopTune:
         assert [s for _, s in trace] == [score[p] for p in points]
         # max returns the first of equal maxima; no trace leaves the midpoint
         assert best == (max(trace, key=lambda t: t[1])[0] if trace else {"x": 1, "y": 2})
+
+
+    def test_matches_the_reference_on_random_grids(self):
+        """On 2,000 random grids of 1-4 dimensions of 1-5 values, with
+        budgets from 0 to the grid size + 3 and scores that tie, are
+        constant or are NaN: the same best point, the same trace, and the
+        objective called on the same points in the same order."""
+        rng = np.random.default_rng(2026)
+        for case in range(2000):
+            sizes = rng.integers(1, 6, size=rng.integers(1, 5))
+            space = {f"d{i}": list(range(10 * i, 10 * i + s)) for i, s in enumerate(sizes)}
+            budget = int(rng.integers(0, math.prod(sizes) + 4))
+            kind = case % 4
+            table = {}
+            for point in np.ndindex(*sizes):
+                value = [float(rng.integers(0, 3)), 1.0, float(rng.normal()), math.nan][kind]
+                if kind == 3 and rng.random() < 0.5:  # NaN at about half the points
+                    value = float(rng.integers(0, 3))
+                table[tuple(int(i) for i in point)] = value
+            seed = int(rng.integers(0, 1000))
+            results = []
+            for tune in (basin_hop_tune, basin_hop_tune_reference):
+                calls = []
+
+                def objective(cfg):
+                    point = tuple(v % 10 for v in cfg.values())
+                    calls.append(point)
+                    return table[point]
+
+                best, trace = tune(space, objective, budget, seed)
+                results.append((best, repr(trace), calls))
+            assert results[0] == results[1], (space, budget, seed)
 
 
 class TestBenchmark:

@@ -197,8 +197,11 @@ def write_artifact(path: str, magic: str, lines: list[str], arrays: list[np.ndar
 
 
 def require_writable(path: str) -> None:
-    """QAError unless replace_file can write path: its directory must exist
-    and be writable, unless path is written in place."""
+    """QAError unless replace_file can write path: it must not be a
+    directory, and its directory must exist and be writable, unless path is
+    written in place."""
+    if os.path.isdir(path):
+        raise QAError(f"{path}: Is a directory")
     if os.path.exists(path) and not os.path.isfile(path):
         return
     folder = os.path.dirname(path) or "."
@@ -211,18 +214,23 @@ def replace_file(path: str, chunks) -> None:
     file in path's directory, which replaces path once all are written, so
     a write that fails leaves path as it was.  A path that exists but is
     not a regular file, such as /dev/null, is written in place, and a
-    symbolic link is followed."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")  # the mode any new file gets, as open(path, "wb") would give it
+    symbolic link is followed.  An OSError that names no file, such as a
+    full disk's, is given path as its filename."""
     try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        real = os.path.realpath(path)
+        tmp = f"{real}.{os.getpid()}.tmp"
+        fh = open(tmp, "xb")  # the mode any new file gets, as open(path, "wb") would give it
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, real)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        exc.filename = exc.filename or path
         raise

@@ -598,11 +598,22 @@ def run(command: Command) -> int:
     raise UsageError(f"unknown verb {verb!r}")
 
 
+def _drop_stdout() -> None:
+    """Send what is left of stdout to devnull, so that the flush at exit
+    raises nothing more."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     try:
         command = parse_args(sys.argv[1:] if argv is None else argv)
         code = run(command)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        try:
+            sys.stdout.flush()  # so that a failed write to stdout raises here, not at exit
+        except OSError as exc:
+            _drop_stdout()
+            exc.filename = exc.filename or "stdout"
+            raise
         return code
     except (UsageError, ValueError) as exc:
         # ValueErrors out of the domain modules all mean bad input values
@@ -612,9 +623,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # stdout's reader has gone: what is left goes to devnull, so that
-        # the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()  # stdout's reader has gone
         return 1
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""

@@ -13,8 +13,10 @@ training relation) the relation task, NAIVE_ALL_ENTITY (tags every token
 as entity) the entity task.
 
 Entity models emit per-token binary tags; relation models emit one
-class over the label space.  An all-zero tag prediction falls back to
-all-ones so the pipeline always has an entity phrase.
+class over the label space.  A neural model's dense head reads every
+token of a tagger but one position of a classifier, the final states,
+and both tasks share one objective.  An all-zero tag prediction falls
+back to all-ones so the pipeline always has an entity phrase.
 
 predict_tags_batch and predict_relation_batch run a neural model on
 length-sorted questions, PREDICT_BATCH per forward pass; carry masking
@@ -302,6 +304,8 @@ class NeuralSequenceModel:
     # -- forward/backward --------------------------------------------------
 
     def _forward(self, ids, mask, training):
+        """The recurrent outputs, the head's logits [B, P, C] and its mask
+        [B, P]: a tagger's head reads every token, a classifier's one position."""
         if training and self._dropout_rng is None:
             self._dropout_rng = rng_for(self.seed, "dropout")
         rng = self._dropout_rng
@@ -312,34 +316,29 @@ class NeuralSequenceModel:
         seq_outs = [self.recurrents[0].forward(x, mask)]
         for layer, drop in zip(self.recurrents[1:], drops):
             seq_outs.append(layer.forward(drop.forward(seq_outs[-1], training, rng), mask))
-        head_in = seq_outs[-1]
+        head_in, head_mask = seq_outs[-1], mask
         if self.descriptor.task == "RELATION":
-            head_in = BidirectionalLayer.final_state(head_in, self.recurrents[-1].hidden_dim)
+            hidden = self.recurrents[-1].hidden_dim
+            head_in = BidirectionalLayer.final_state(head_in, hidden)[:, None]
+            head_mask = np.ones((ids.shape[0], 1))
         logits = self.dense.forward(last_drop.forward(head_in, training, rng))
-        return seq_outs, last_drop, logits
+        return seq_outs, logits, head_mask
 
-    def _objective(self, seq_outs, logits, mask, targets) -> tuple[float, int]:
-        """Mean cross-entropy plus the L1 activity penalty, and the number
-        of penalised activations (the penalty gradient's denominator).
+    def _objective(self, seq_outs, mask, logits, head_mask, targets) -> tuple[float, int]:
+        """Mean cross-entropy over the head's positions plus the L1 activity
+        penalty, and the number of penalised activations (the penalty
+        gradient's denominator).  A classifier's head reads one position,
+        so its targets may be [B] as well as [B, 1].
 
-        The penalised activations are the recurrent outputs and the dense
-        logits, with masked positions excluded."""
-        nll = cross_entropy(logits, targets)
-        if self.descriptor.task == "ENTITY":
-            value = (nll * mask).sum() / mask.sum()
-        else:
-            value = nll.sum() / nll.shape[0]
+        The penalised activations are the recurrent outputs under the token
+        mask and the logits under the head mask."""
+        nll = cross_entropy(logits, np.reshape(targets, head_mask.shape))
+        value = (nll * head_mask).sum() / head_mask.sum()
         if not self.l1_activity:
             return float(value), 0
-        n_real = int(mask.sum())
-        total = sum(float((np.abs(out) * mask[:, :, None]).sum()) for out in seq_outs)
-        count = sum(n_real * out.shape[-1] for out in seq_outs)
-        if self.descriptor.task == "ENTITY":
-            total += float((np.abs(logits) * mask[:, :, None]).sum())
-            count += n_real * logits.shape[-1]
-        else:
-            total += float(np.abs(logits).sum())
-            count += logits.size
+        masked = [(out, mask) for out in seq_outs] + [(logits, head_mask)]
+        total = sum(float((np.abs(out) * m[:, :, None]).sum()) for out, m in masked)
+        count = sum(int(m.sum()) * out.shape[-1] for out, m in masked)
         return float(value + self.l1_activity * total / count), count
 
     def loss_and_grads(self, batch, training: bool = False):
@@ -350,32 +349,20 @@ class NeuralSequenceModel:
         self.grad = np.zeros(theta.size)
         for name, block in _layer_blocks(self.grad, layout).items():
             self._layers[name].use_grads(block)
-        seq_outs, last_drop, logits = self._forward(ids, mask, training)
-        total, act_count = self._objective(seq_outs, logits, mask, targets)
+        seq_outs, logits, head_mask = self._forward(ids, mask, training)
+        targets = np.reshape(targets, head_mask.shape)
+        total, act_count = self._objective(seq_outs, mask, logits, head_mask, targets)
         l1 = self.l1_activity
 
-        d_logits = softmax(logits)
-        if self.descriptor.task == "ENTITY":
-            np.put_along_axis(
-                d_logits,
-                targets[:, :, None],
-                np.take_along_axis(d_logits, targets[:, :, None], axis=2) - 1.0,
-                axis=2,
-            )
-            d_logits *= mask[:, :, None] / mask.sum()
-            if l1:
-                d_logits += l1 * np.sign(logits) * mask[:, :, None] / act_count
-        else:
-            n = ids.shape[0]
-            d_logits[np.arange(n), targets] -= 1.0
-            d_logits /= n
-            if l1:
-                d_logits += l1 * np.sign(logits) / act_count
+        d_logits = softmax(logits) - (targets[:, :, None] == np.arange(logits.shape[-1]))
+        d_logits *= head_mask[:, :, None] / head_mask.sum()
+        if l1:
+            d_logits += l1 * np.sign(logits) * head_mask[:, :, None] / act_count
 
-        d = last_drop.backward(self.dense.backward(d_logits))
+        d = self.drops[-1].backward(self.dense.backward(d_logits))
         if self.descriptor.task == "RELATION":
             d = BidirectionalLayer.inject_final_grad(
-                d, seq_outs[-1].shape, self.recurrents[-1].hidden_dim
+                d[:, 0], seq_outs[-1].shape, self.recurrents[-1].hidden_dim
             )
         conv_sites = 1 if self.conv is not None else 0
         for li in range(len(self.recurrents) - 1, -1, -1):
@@ -392,8 +379,8 @@ class NeuralSequenceModel:
 
     def loss(self, batch) -> float:
         ids, mask, targets = batch
-        seq_outs, _, logits = self._forward(ids, mask, training=False)
-        return self._objective(seq_outs, logits, mask, targets)[0]
+        seq_outs, logits, head_mask = self._forward(ids, mask, training=False)
+        return self._objective(seq_outs, mask, logits, head_mask, targets)[0]
 
     # -- prediction ---------------------------------------------------------
 
@@ -402,10 +389,11 @@ class NeuralSequenceModel:
         for a classifier.  The layers keep none of the batch's activations
         afterwards, so a model does not hold its last prediction batch."""
         ids, mask = self.encode(token_seqs)
-        _, _, logits = self._forward(ids, mask, training=False)
+        _, logits, _ = self._forward(ids, mask, training=False)
         for layer in self._layers.values():
             layer.forget()
-        return softmax(logits)
+        probs = softmax(logits)
+        return probs[:, 0] if self.descriptor.task == "RELATION" else probs
 
 
 class MajorityModel:

@@ -15,8 +15,8 @@ from kbqa.corpus import Fact, KnowledgeBase
 from kbqa.errors import IntegrityError, ParseError
 from kbqa.evaluation import AccuracyReport, ReportRow, question_correct
 from kbqa.index import MAX_NGRAM, AnswerCandidate, CandidateSet, EntityIndex, ReachIndex
-from kbqa.models import TagPrediction
-from kbqa.neural.layers import carve
+from kbqa.models import TagPrediction, _layer_blocks
+from kbqa.neural.layers import BidirectionalLayer, carve, cross_entropy, softmax
 from kbqa.neural.optim import SGD, Adam
 from kbqa.pipeline import build_structured_query
 from kbqa.seeding import rng_for
@@ -262,6 +262,104 @@ class PerViewOptimizer:
         assert np.shares_memory(theta, self.model.theta) and grad is self.model.grad
         params = self.model.trainable_params()
         self.inner.step(params, carve(grad, [(name, p.shape) for name, p in params.items()]))
+
+
+# -- the per-task loss path ----------------------------------------------------
+
+
+def forward_reference(model, ids, mask, training):
+    """NeuralSequenceModel._forward when each task had its own loss: a
+    classifier's logits are [B, C], and the last dropout comes back too."""
+    if training and model._dropout_rng is None:
+        model._dropout_rng = rng_for(model.seed, "dropout")
+    rng = model._dropout_rng
+    *drops, last_drop = model.drops
+    x = model.embedding.forward(ids)
+    if model.conv is not None:
+        x = drops.pop(0).forward(model.conv.forward(x), training, rng)
+    seq_outs = [model.recurrents[0].forward(x, mask)]
+    for layer, drop in zip(model.recurrents[1:], drops):
+        seq_outs.append(layer.forward(drop.forward(seq_outs[-1], training, rng), mask))
+    head_in = seq_outs[-1]
+    if model.descriptor.task == "RELATION":
+        head_in = BidirectionalLayer.final_state(head_in, model.recurrents[-1].hidden_dim)
+    logits = model.dense.forward(last_drop.forward(head_in, training, rng))
+    return seq_outs, last_drop, logits
+
+
+def objective_reference(model, seq_outs, logits, mask, targets) -> tuple[float, int]:
+    """Mean cross-entropy plus the L1 activity penalty, and the number
+    of penalised activations (the penalty gradient's denominator).
+
+    The penalised activations are the recurrent outputs and the dense
+    logits, with masked positions excluded."""
+    nll = cross_entropy(logits, targets)
+    if model.descriptor.task == "ENTITY":
+        value = (nll * mask).sum() / mask.sum()
+    else:
+        value = nll.sum() / nll.shape[0]
+    if not model.l1_activity:
+        return float(value), 0
+    n_real = int(mask.sum())
+    total = sum(float((np.abs(out) * mask[:, :, None]).sum()) for out in seq_outs)
+    count = sum(n_real * out.shape[-1] for out in seq_outs)
+    if model.descriptor.task == "ENTITY":
+        total += float((np.abs(logits) * mask[:, :, None]).sum())
+        count += n_real * logits.shape[-1]
+    else:
+        total += float(np.abs(logits).sum())
+        count += logits.size
+    return float(value + model.l1_activity * total / count), count
+
+
+def loss_and_grads_reference(model, batch, training: bool = False):
+    """NeuralSequenceModel.loss_and_grads with one loss and one logit
+    gradient per task: a tagger's mean is over real tokens, a classifier's
+    divides by the batch size."""
+    ids, mask, targets = batch
+    theta, layout = model._trainable()
+    model.grad = np.zeros(theta.size)
+    for name, block in _layer_blocks(model.grad, layout).items():
+        model._layers[name].use_grads(block)
+    seq_outs, last_drop, logits = forward_reference(model, ids, mask, training)
+    total, act_count = objective_reference(model, seq_outs, logits, mask, targets)
+    l1 = model.l1_activity
+
+    d_logits = softmax(logits)
+    if model.descriptor.task == "ENTITY":
+        np.put_along_axis(
+            d_logits,
+            targets[:, :, None],
+            np.take_along_axis(d_logits, targets[:, :, None], axis=2) - 1.0,
+            axis=2,
+        )
+        d_logits *= mask[:, :, None] / mask.sum()
+        if l1:
+            d_logits += l1 * np.sign(logits) * mask[:, :, None] / act_count
+    else:
+        n = ids.shape[0]
+        d_logits[np.arange(n), targets] -= 1.0
+        d_logits /= n
+        if l1:
+            d_logits += l1 * np.sign(logits) / act_count
+
+    d = last_drop.backward(model.dense.backward(d_logits))
+    if model.descriptor.task == "RELATION":
+        d = BidirectionalLayer.inject_final_grad(
+            d, seq_outs[-1].shape, model.recurrents[-1].hidden_dim
+        )
+    conv_sites = 1 if model.conv is not None else 0
+    for li in range(len(model.recurrents) - 1, -1, -1):
+        if l1:
+            d = d + l1 * np.sign(seq_outs[li]) * mask[:, :, None] / act_count
+        d = model.recurrents[li].backward(d)
+        if li > 0:
+            d = model.drops[conv_sites + li - 1].backward(d)
+    if model.conv is not None:
+        d = model.conv.backward(model.drops[0].backward(d))
+    model.embedding.backward(d)
+
+    return total, carve(model.grad, layout)
 
 
 # -- ingestion references ------------------------------------------------------

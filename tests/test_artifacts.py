@@ -175,8 +175,9 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     indexes = load_indexes(GOLDEN_INDEX)
     monkeypatch.setattr(artifact, "open", _FullDisk, raising=False)
-    with pytest.raises(OSError, match="No space left on device"):
+    with pytest.raises(OSError, match="No space left on device") as raised:
         save_indexes(*indexes, str(path))
+    assert raised.value.filename == str(path)  # the error named no file
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.qam"]
 

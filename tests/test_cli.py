@@ -1,3 +1,4 @@
+import errno
 import os
 import shlex
 import subprocess
@@ -950,8 +951,8 @@ class TestPathErrors:
     about the output shows that it was checked before any data file was
     read."""
 
-    def check(self, argv, reason):
-        code, err = qa(*argv)
+    def check(self, argv, reason, stdout=subprocess.PIPE):
+        code, err = qa(*argv, stdout=stdout)
         assert code == 1, err
         assert "Traceback" not in err
         assert err == f"error: {reason}\n"
@@ -972,6 +973,28 @@ class TestPathErrors:
         facts, aliases, _ = toy_files
         self.check(("build-index", "--facts", facts, "--aliases", aliases, "--out", tmp_path),
                    f"{tmp_path}: Is a directory")
+        self.check(("build-index", *MISSING[:4], "--out", tmp_path), f"{tmp_path}: Is a directory")
+        self.check(("train", *MISSING, "--task", "RELATION", "--kind", "MAJORITY",
+                    "--out", tmp_path), f"{tmp_path}: Is a directory")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_output_on_a_full_device(self, toy_files):
+        """A write that fails for want of space names the output."""
+        facts, aliases, _ = toy_files
+        self.check(("build-index", "--facts", facts, "--aliases", aliases, "--out", "/dev/full"),
+                   f"/dev/full: {os.strerror(errno.ENOSPC)}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_a_full_device(self, toy_files, tmp_path, monkeypatch):
+        """stdout block-buffered, as Python makes it for a file, so the
+        write fails at main's last flush: the error names stdout, and the
+        flush at exit adds nothing."""
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        facts, aliases, _ = toy_files
+        with open("/dev/full", "wb") as full:
+            self.check(("build-index", "--facts", facts, "--aliases", aliases,
+                        "--out", tmp_path / "toy.qaidx"),
+                       f"stdout: {os.strerror(errno.ENOSPC)}", stdout=full)
 
     def test_output_to_a_pipe(self, toy_files):
         """`--out /dev/stdout` with stdout a pipe, which no path in the file

@@ -228,8 +228,8 @@ class TestLoss:
         model.l1_activity = 0.01
         mask = np.ones((1, 3))
         seq_outs = [np.full((1, 3, 5), 2.0), np.full((1, 3, 3), 2.0)]
-        logits = np.full((1, 4), 2.0)
-        value, count = model._objective(seq_outs, logits, mask, np.array([0]))
+        logits = np.full((1, 1, 4), 2.0)  # a classifier's head reads one position
+        value, count = model._objective(seq_outs, mask, logits, np.ones((1, 1)), np.array([0]))
         assert count == 15 + 9 + 4
         assert value == pytest.approx(math.log(4) + 0.02, abs=1e-12)
 

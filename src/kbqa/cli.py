@@ -436,8 +436,8 @@ def run(command: Command) -> int:
         entity_index = build_entity_index(kb)
         reach_index = build_reach_index(kb)
         save_indexes(entity_index, reach_index, opts.out)
-        print(f"indexed {entity_index.alias_count} aliases, "
-              f"{len(reach_index.relations)} facts -> {opts.out}")
+        _print(f"indexed {entity_index.alias_count} aliases, "
+               f"{len(reach_index.relations)} facts -> {opts.out}")
         return 0
 
     if verb == "train":
@@ -450,12 +450,12 @@ def run(command: Command) -> int:
         embeddings = _embeddings_of(opts, split.train) if desc.kind in NEURAL_KINDS else None
         model, log = _build_and_train(opts, split, lexicon, desc, embeddings)
         for stats in log:
-            print(
+            _print(
                 f"epoch {stats.epoch} train_loss {stats.train_loss:.6f} "
                 f"valid_acc {_fmt_acc(stats.valid_accuracy)}"
             )
         save_model(model, opts.out)
-        print(f"saved model -> {opts.out}")
+        _print(f"saved model -> {opts.out}")
         return 0
 
     if verb == "eval":
@@ -495,11 +495,11 @@ def run(command: Command) -> int:
             k=opts.k,
         )
         text = report.to_text()
-        print(text, end="")
+        _print(text, end="")
         if opts.report_out:
             replace_file(opts.report_out + ".txt", [text.encode("utf-8")])
             replace_file(opts.report_out + ".tsv", [report.to_tsv().encode("utf-8")])
-            print(f"wrote {opts.report_out}.txt and {opts.report_out}.tsv")
+            _print(f"wrote {opts.report_out}.txt and {opts.report_out}.tsv")
         return 0
 
     if verb == "ask":
@@ -508,17 +508,17 @@ def run(command: Command) -> int:
         relation_model = _model_for(opts.relation_model, "RELATION")
         lexicon = _lexicon_of(opts)
         query = build_structured_query(entity_model, relation_model, opts.question, lexicon)
-        print(f"entity_phrase: {' '.join(query.entity_phrase)}")
-        print(f"relation: {query.relation}")
+        _print(f"entity_phrase: {' '.join(query.entity_phrase)}")
+        _print(f"relation: {query.relation}")
         result = answer(query, entity_index, reach_index, opts.k)
         if result is None:
-            print("no-answer")
+            _print("no-answer")
             return 0
         fact = result.supporting_fact
-        print(f"answer: {fact.object}")
-        print(f"fact: {fact.subject}\t{fact.relation}\t{fact.object}")
-        print(f"score: {result.score!r}")
-        print(f"degraded: {'yes' if result.degraded else 'no'}")
+        _print(f"answer: {fact.object}")
+        _print(f"fact: {fact.subject}\t{fact.relation}\t{fact.object}")
+        _print(f"score: {result.score!r}")
+        _print(f"degraded: {'yes' if result.degraded else 'no'}")
         return 0
 
     if verb == "gradcheck":
@@ -526,7 +526,7 @@ def run(command: Command) -> int:
         all_pass = True
         for kind, report in reports:
             status = "PASS" if report.passed else "FAIL"
-            print(
+            _print(
                 f"{kind:12s} {status} max_rel_err {report.max_relative_error:.3e} "
                 f"(worst {report.worst_param})"
             )
@@ -565,8 +565,8 @@ def run(command: Command) -> int:
         best, trace = basin_hop_tune(space, objective, opts.budget, opts.seed)
         for cfg, score in trace:
             pretty = " ".join(f"{k}={v}" for k, v in cfg.items())
-            print(f"eval {pretty} -> {score:.4f}")
-        print("best: " + " ".join(f"{k}={v}" for k, v in best.items()))
+            _print(f"eval {pretty} -> {score:.4f}")
+        _print("best: " + " ".join(f"{k}={v}" for k, v in best.items()))
         return 0
 
     if verb == "benchmark":
@@ -592,7 +592,7 @@ def run(command: Command) -> int:
             lambda: _optimizer(opts),
             lexicon=lexicon,
         )
-        print(report.to_text(), end="")
+        _print(report.to_text(), end="")
         return 0
 
     raise UsageError(f"unknown verb {verb!r}")
@@ -604,16 +604,22 @@ def _drop_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _print(*args, **kwargs) -> None:
+    """print to stdout, where every write to stdout goes: a failed write
+    names stdout, whether stdout is buffered or not."""
+    try:
+        print(*args, **kwargs)
+    except OSError as exc:
+        _drop_stdout()
+        exc.filename = exc.filename or "stdout"
+        raise
+
+
 def main(argv=None) -> int:
     try:
         command = parse_args(sys.argv[1:] if argv is None else argv)
         code = run(command)
-        try:
-            sys.stdout.flush()  # so that a failed write to stdout raises here, not at exit
-        except OSError as exc:
-            _drop_stdout()
-            exc.filename = exc.filename or "stdout"
-            raise
+        _print(end="", flush=True)  # so that a failed write to stdout raises here, not at exit
         return code
     except (UsageError, ValueError) as exc:
         # ValueErrors out of the domain modules all mean bad input values

@@ -3,12 +3,12 @@ float64 payload, framed by `artifact`.
 
 The first line is `QAMODEL 2 payload=N` and the architecture descriptor
 as key=value pairs.  VOCAB and LABELS sections follow where the kind has
-them, then one `PARAM name ndim size ...` line per stored array (a neural
-model's param_layout).  The payload holds those arrays' values as N
-bytes of little-endian float64, in the same order (a neural model's
-theta), so files round-trip bit-exactly and identical runs write
-identical bytes.  The all-text `QAMODEL 1` files are not read: such a
-model must be trained again.
+them, then one `PARAM name ndim size ...` line per array of the model's
+all_params() (a neural model's param_layout).  The payload holds those
+arrays' values as N bytes of little-endian float64, in the same order
+(a neural model's theta), so files round-trip bit-exactly and identical
+runs write identical bytes.  The all-text `QAMODEL 1` files are not
+read: such a model must be trained again.
 """
 
 import math
@@ -30,14 +30,6 @@ from .models import (
 from .neural.layers import layout_size
 
 __all__ = ["load_model", "save_model"]
-
-# the arrays each baseline kind stores; neural kinds store their param_layout
-_BASELINE_ARRAYS = {
-    "MAJORITY": ("counts",),
-    "NB_MULTINOMIAL": ("class_counts", "token_counts", "total_tokens"),
-    "NAIVE_ALL_ENTITY": (),
-}
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -65,16 +57,14 @@ def _parse_descriptor(pairs: dict[str, str]) -> ArchitectureDescriptor:
         dropout_rates=dropout,
         conv_filters=int(pairs["conv_filters"]),
         conv_width=int(pairs["conv_width"]),
-        noun_filter=pairs["noun_filter"] == "1",
+        noun_filter=_flag(pairs, "noun_filter"),
     )
 
 
-def _stored(model) -> dict[str, np.ndarray]:
-    """The arrays a model file stores, by name, in file order: the model's
-    own arrays, which a load fills in place."""
-    if isinstance(model, NeuralSequenceModel):
-        return model.all_params()
-    return {name: getattr(model, name) for name in _BASELINE_ARRAYS[model.descriptor.kind]}
+def _flag(pairs: dict[str, str], key: str) -> bool:
+    if pairs[key] not in ("0", "1"):
+        raise ValueError(f"{key} must be 0 or 1, got {pairs[key]!r}")
+    return pairs[key] == "1"
 
 
 def save_model(model, path: str) -> None:
@@ -97,7 +87,7 @@ def save_model(model, path: str) -> None:
     if labels is not None:
         lines.append(f"LABELS {len(labels.labels)}")
         lines.extend(labels.labels)
-    stored = _stored(model)
+    stored = model.all_params()
     for name, array in stored.items():
         lines.append(f"PARAM {name} {array.ndim} {' '.join(str(s) for s in array.shape)}")
     write_artifact(path, "QAMODEL 2 ", lines, list(stored.values()))
@@ -139,8 +129,10 @@ def load_model(path: str):
             model = NeuralSequenceModel(
                 desc, {tok: i + 2 for i, tok in enumerate(vocab)}, label_space, max_len,
                 int(src.fields["seed"]), np.zeros(layout_size(layout)), dim=layout[0][1][1],
-                freeze_embeddings=src.fields["frozen"] == "1")
+                freeze_embeddings=_flag(src.fields, "frozen"))
             model.l1_activity = float(src.fields["l1"])
+            if not 0 <= model.l1_activity < math.inf:
+                raise ParseError(path, 1, f"l1 must be finite and >= 0, got {model.l1_activity}")
         elif desc.kind == "NAIVE_ALL_ENTITY":
             model = NaiveAllEntityModel(desc)
         elif desc.kind == "MAJORITY":
@@ -149,7 +141,7 @@ def load_model(path: str):
             model = MultinomialNBModel(desc, label_space, float(src.fields["alpha"]), vocab)
     except (KeyError, ValueError) as exc:
         raise ParseError(path, 1, f"bad model: {exc!r}") from None
-    stored = _stored(model)
+    stored = model.all_params()  # the model's own arrays, which the load fills in place
     _check_blocks(path, stored, blocks)
     for name, array in stored.items():
         array[...] = values[name]

@@ -12,15 +12,17 @@ NB_MULTINOMIAL (bag-of-words Naive Bayes) and MAJORITY (most common
 training relation) the relation task, NAIVE_ALL_ENTITY (tags every token
 as entity) the entity task.
 
-Entity models emit per-token binary tags; relation models emit one
-class over the label space.  A neural model's dense head reads every
-token of a tagger but one position of a classifier, the final states,
-and both tasks share one objective.  An all-zero tag prediction falls
-back to all-ones so the pipeline always has an entity phrase.
+Every kind predicts through predict_probs(token_seqs), tag probabilities
+per token [B, T, 2] or label probabilities per question [B, classes],
+and lists the arrays its file stores through all_params().  A neural
+model's dense head reads every token of a tagger but one position of a
+classifier, the final states, and both tasks share one objective.  An
+all-zero tag prediction falls back to all-ones so the pipeline always
+has an entity phrase.
 
-predict_tags_batch and predict_relation_batch run a neural model on
-length-sorted questions, PREDICT_BATCH per forward pass; carry masking
-keeps right padding out of every real position.
+predict_tags_batch and predict_relation_batch run a model on
+length-sorted questions, PREDICT_BATCH per predict_probs call; carry
+masking keeps right padding out of every real position.
 """
 
 import math
@@ -413,11 +415,14 @@ class MajorityModel:
                 raise ValueError(f"label {q.gold_relation!r} outside label space")
             self.counts[idx] += 1
 
-    def predict_label(self, tokens) -> tuple[str, float]:
+    def all_params(self) -> dict[str, np.ndarray]:
+        return {"counts": self.counts}
+
+    def predict_probs(self, token_seqs) -> np.ndarray:
+        """The training label frequencies, one row per question."""
         if self.counts.sum() == 0:
             raise ValueError("majority model was never fit")
-        best = int(np.argmax(self.counts))
-        return self.label_space.labels[best], float(self.counts[best] / self.counts.sum())
+        return np.tile(self.counts / self.counts.sum(), (len(token_seqs), 1))
 
 
 class MultinomialNBModel:
@@ -433,8 +438,8 @@ class MultinomialNBModel:
     ):
         if label_space is None:
             raise ValueError("Naive Bayes needs a label space")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         self.descriptor = descriptor
         self.label_space = label_space
         self.alpha = alpha
@@ -471,11 +476,13 @@ class MultinomialNBModel:
             scores = scores + np.log((counts + self.alpha) / denom)
         return scores
 
-    def predict_label(self, tokens) -> tuple[str, float]:
-        scores = self.log_scores(tokens)
-        best = int(np.argmax(scores))
-        posterior = softmax(scores)
-        return self.label_space.labels[best], float(posterior[best])
+    def all_params(self) -> dict[str, np.ndarray]:
+        return {"class_counts": self.class_counts, "token_counts": self.token_counts,
+                "total_tokens": self.total_tokens}
+
+    def predict_probs(self, token_seqs) -> np.ndarray:
+        """The posterior over labels, one row per question."""
+        return np.stack([softmax(self.log_scores(tokens)) for tokens in token_seqs])
 
 
 class NaiveAllEntityModel:
@@ -484,8 +491,13 @@ class NaiveAllEntityModel:
     def __init__(self, descriptor: ArchitectureDescriptor):
         self.descriptor = descriptor
 
-    def predict_token_tags(self, tokens) -> list[int]:
-        return [1] * len(tokens)
+    def all_params(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def predict_probs(self, token_seqs) -> np.ndarray:
+        """[B, T, 2] with all mass on tag 1."""
+        t_len = max((len(tokens) for tokens in token_seqs), default=0)
+        return np.tile([0.0, 1.0], (len(token_seqs), t_len, 1))
 
 
 def build_model(
@@ -534,12 +546,9 @@ def _model_input(model, tokens, lexicon) -> FilterResult:
 
 def _model_outputs(model, inputs, tagger: bool) -> list:
     """Raw tags (tagger) or (label, probability) per model input, in input
-    order.  A model with predict_probs reads the inputs sorted by kept
-    length, at most PREDICT_BATCH per call, so each call pads little; tags
-    past max_len are 0.  Any other model is asked once per input."""
-    if not hasattr(model, "predict_probs"):
-        ask = model.predict_token_tags if tagger else model.predict_label
-        return [ask(seen.kept_tokens) for seen in inputs]
+    order.  The model reads the inputs sorted by kept length, at most
+    PREDICT_BATCH per predict_probs call, so each call pads little; tags
+    past the positions a row holds (a neural model's max_len) are 0."""
     outputs = [None] * len(inputs)
     order = sorted(range(len(inputs)), key=lambda i: len(inputs[i].kept_tokens))
     for start in range(0, len(order), PREDICT_BATCH):
@@ -548,7 +557,7 @@ def _model_outputs(model, inputs, tagger: bool) -> list:
         for i, row in zip(chunk, probs):
             if tagger:
                 n_kept = len(inputs[i].kept_tokens)
-                seen = min(n_kept, model.max_len)
+                seen = min(n_kept, len(row))
                 outputs[i] = np.argmax(row[:seen], axis=1).tolist() + [0] * (n_kept - seen)
             else:
                 best = int(np.argmax(row))
@@ -709,8 +718,7 @@ def train(
     model.max_len = config.max_len
     model.l1_activity = config.l1_activity
     model._dropout_rng = rng_for(config.seed, "dropout")
-    if not config.freeze_embeddings:
-        model.embedding.trainable = True
+    model.embedding.trainable = not config.freeze_embeddings
 
     examples = _examples(model, train_set, lexicon)
     valid_inputs = _model_inputs(model, [q.tokens for q in valid_set], lexicon)

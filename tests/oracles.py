@@ -635,12 +635,10 @@ def predict_tags_reference(model, tokens, lexicon=None) -> TagPrediction:
     """One question's tags from a forward pass of that question alone."""
     tokens = list(tokens)
     kept, index_map, degraded = _reference_input(model, tokens, lexicon)
-    if hasattr(model, "predict_probs"):
-        probs = model.predict_probs([kept])[0]
-        seen = min(len(kept), model.max_len)
-        raw = [int(t) for t in np.argmax(probs[:seen], axis=1)] + [0] * (len(kept) - seen)
-    else:
-        raw = list(model.predict_token_tags(kept))
+    probs = model.predict_probs([kept])[0]
+    # a neural model reads max_len tokens; a baseline reads every token
+    seen = min(len(kept), getattr(model, "max_len", len(kept)))
+    raw = [int(t) for t in np.argmax(probs[:seen], axis=1)] + [0] * (len(kept) - seen)
     if all(t == 0 for t in raw):
         raw = [1] * len(kept)
         degraded = True
@@ -653,8 +651,6 @@ def predict_tags_reference(model, tokens, lexicon=None) -> TagPrediction:
 def predict_relation_reference(model, tokens, lexicon=None) -> tuple[str, float]:
     """One question's relation from a forward pass of that question alone."""
     kept, _, _ = _reference_input(model, list(tokens), lexicon)
-    if not hasattr(model, "predict_probs"):
-        return model.predict_label(kept)
     probs = model.predict_probs([kept])[0]
     best = int(np.argmax(probs))
     return model.label_space.labels[best], float(probs[best])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kbqa import artifact
+from kbqa import artifact, cli
 from kbqa.corpus import load_facts, load_questions, random_embedding_table
 from kbqa.errors import ParseError
 from kbqa.index import (
@@ -32,7 +32,9 @@ from kbqa.models import (
     build_model,
     default_descriptor,
     predict_relation,
+    predict_relation_batch,
     predict_tags,
+    predict_tags_batch,
     train,
 )
 from kbqa.neural.config import TrainConfig
@@ -87,7 +89,7 @@ def test_model_file_roundtrip_is_byte_identical(artifacts, tmp_path, kind):
     assert path.read_bytes() == artifacts[f"{kind}.qam"]
 
 
-@pytest.mark.parametrize("kind", NEURAL_KINDS)
+@pytest.mark.parametrize("kind", NEURAL_KINDS + BASELINE_KINDS)
 def test_reloaded_model_predicts_identically(models_and_artifacts, tmp_path, kind):
     models, artifacts = models_and_artifacts
     path = tmp_path / "m.qam"
@@ -121,6 +123,52 @@ def test_golden_model_saves_to_the_same_bytes(tmp_path):
     save_model(load_model(GOLDEN), str(path))
     with open(GOLDEN, "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+# One model of each baseline kind, trained on data/toy by `qa train ...
+# --ratios 1.0,0.0,0.0`, and what they predicted when they were written.
+GOLDEN_SEQS = [QUESTION, ["what", "movie", "did", "hanks", "star", "in"], ["tom", "zzz"], ["zzz"]]
+GOLDEN_BASELINES = {
+    "majority.qam": [("bornOn", 0.75)] * 4,
+    "nb_multinomial.qam": [("bornOn", 0.9477849324023734), ("starredIn", 0.9837248714590535),
+                           ("bornOn", 0.8151571164510165), ("bornOn", 0.6774193548387096)],
+    "naive_all_entity.qam": [(1,) * len(seq) for seq in GOLDEN_SEQS],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_BASELINES)
+def test_golden_baseline_predicts_known_outputs(name):
+    model = load_model(os.path.join(os.path.dirname(GOLDEN), name))
+    if model.descriptor.task == "ENTITY":
+        got = [(p.mapped_tags, p.degraded) for p in predict_tags_batch(model, GOLDEN_SEQS)]
+        assert got == [(tags, False) for tags in GOLDEN_BASELINES[name]]
+    else:
+        assert predict_relation_batch(model, GOLDEN_SEQS) == GOLDEN_BASELINES[name]
+        assert [predict_relation(model, seq) for seq in GOLDEN_SEQS] == GOLDEN_BASELINES[name]
+
+
+@pytest.mark.parametrize("name", GOLDEN_BASELINES)
+def test_golden_baseline_saves_to_the_same_bytes(tmp_path, name):
+    golden = os.path.join(os.path.dirname(GOLDEN), name)
+    path = tmp_path / "again.qam"
+    save_model(load_model(golden), str(path))
+    with open(golden, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_golden_baselines_are_what_data_toy_trains(tmp_path):
+    """`qa train` on data/toy writes the golden baseline files."""
+    toy = os.path.join(os.path.dirname(__file__), os.pardir, "data", "toy")
+    files = [f"--{name}={os.path.join(toy, name)}.tsv"
+             for name in ("facts", "aliases", "questions")]
+    for name in GOLDEN_BASELINES:
+        kind = name.removesuffix(".qam").upper()
+        task = "ENTITY" if kind == "NAIVE_ALL_ENTITY" else "RELATION"
+        out = tmp_path / name
+        assert cli.main(["train", *files, "--task", task, "--kind", kind,
+                         "--ratios", "1.0,0.0,0.0", "--out", str(out)]) == 0
+        with open(os.path.join(os.path.dirname(GOLDEN), name), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 # Both indexes of data/toy, written by `qa build-index` when QAIDX 3 was

@@ -996,6 +996,17 @@ class TestPathErrors:
                         "--out", tmp_path / "toy.qaidx"),
                        f"stdout: {os.strerror(errno.ENOSPC)}", stdout=full)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_a_full_device_unbuffered(self, toy_files, tmp_path, monkeypatch):
+        """stdout unbuffered, so the write fails in the print itself: the
+        error names stdout all the same."""
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        facts, aliases, _ = toy_files
+        with open("/dev/full", "wb") as full:
+            self.check(("build-index", "--facts", facts, "--aliases", aliases,
+                        "--out", tmp_path / "toy.qaidx"),
+                       f"stdout: {os.strerror(errno.ENOSPC)}", stdout=full)
+
     def test_output_to_a_pipe(self, toy_files):
         """`--out /dev/stdout` with stdout a pipe, which no path in the file
         system names, is written in place."""

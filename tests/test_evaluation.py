@@ -107,8 +107,11 @@ class TestEvaluate:
     def test_perfect_oracle_models_score_one(self):
         class PerfectEntity:
             descriptor = ArchitectureDescriptor("ENTITY", "NAIVE_ALL_ENTITY")
-            def predict_token_tags(self, tokens):
-                return [1 if t in ("tom", "hanks") else 0 for t in tokens]
+            def predict_probs(self, token_seqs):
+                """One-hot tags, [B, T, 2]."""
+                width = max(len(tokens) for tokens in token_seqs)
+                return np.eye(2)[[[int(t in ("tom", "hanks")) for t in tokens]
+                                  + [0] * (width - len(tokens)) for tokens in token_seqs]]
 
         labels = RelationLabelSpace(("bornOn",))
         rm = build_model(ArchitectureDescriptor("RELATION", "MAJORITY"), None, labels)

@@ -42,6 +42,19 @@ class TestEmbeddingFineTuning:
         assert np.array_equal(model.embedding.params["E"], before)
         assert "embedding.E" not in model.trainable_params()
 
+    def test_config_freezes_a_model_built_trainable(self, corpus, embeddings):
+        """train follows config.freeze_embeddings in both directions: a model
+        built with trainable embeddings keeps them under a freezing config."""
+        vocab = [t for q in corpus for t in q.tokens]
+        desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=50, noun_filter=False)
+        model = build_model(desc, embeddings, None, vocab_tokens=vocab, seed=1,
+                            freeze_embeddings=False)
+        before = model.embedding.params["E"].copy()
+        train(model, corpus, TrainConfig(epochs=1, batch_size=8, seed=1),
+              make_optimizer("SGD", 0.05))
+        assert np.array_equal(model.embedding.params["E"], before)
+        assert "embedding.E" not in model.trainable_params()
+
     def test_finetuned_embeddings_move_but_pad_row_stays_zero(self, corpus, embeddings):
         vocab = [t for q in corpus for t in q.tokens]
         desc = default_descriptor("ENTITY", "NT_BILSTM1", desk_scale=50, noun_filter=False)

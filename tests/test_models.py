@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ class TestNaiveBayes:
         labels = RelationLabelSpace(("A", "B"))
         data = [question(["x", "y"], "A"), question(["z"], "B")]
         model = nb_model(data, labels, alpha=1.0)
-        label, _ = model.predict_label(["x"])
+        label, _ = predict_relation(model, ["x"])
         assert label == "A"
         scores = model.log_scores(["x"])
         assert scores[0] == pytest.approx(np.log(0.5) + np.log(2 / 5), abs=1e-12)
@@ -437,7 +438,7 @@ class TestNaiveBayes:
     def test_single_class(self):
         labels = RelationLabelSpace(("A",))
         model = nb_model([question(["q"], "A")], labels)
-        assert model.predict_label(["anything"])[0] == "A"
+        assert predict_relation(model, ["anything"])[0] == "A"
 
     def test_bag_of_words_order_invariant(self):
         labels = RelationLabelSpace(("A", "B"))
@@ -445,7 +446,8 @@ class TestNaiveBayes:
         model = nb_model(data, labels)
         a = model.log_scores(["x", "v", "y"])
         b = model.log_scores(["y", "x", "v"])
-        assert model.predict_label(["x", "v", "y"])[0] == model.predict_label(["y", "x", "v"])[0]
+        assert (predict_relation(model, ["x", "v", "y"])[0]
+                == predict_relation(model, ["y", "x", "v"])[0])
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_unseen_token_uses_smoothed_likelihood(self):
@@ -519,7 +521,7 @@ class TestSerialization:
         loaded = load_model(str(path))
         for tokens in (["x"], ["z"], ["x", "unseen"]):
             assert np.array_equal(loaded.log_scores(tokens), model.log_scores(tokens))
-            assert loaded.predict_label(tokens) == model.predict_label(tokens)
+            assert predict_relation(loaded, tokens) == predict_relation(model, tokens)
 
     def test_naive_all_entity_roundtrip(self, tmp_path):
         model = build_model(ArchitectureDescriptor("ENTITY", "NAIVE_ALL_ENTITY"), None, None)
@@ -671,6 +673,31 @@ class TestModelFileErrors:
         replace_payload(saved, payload + payload[-8 * int(last.split(" ")[-1]) :])
         with pytest.raises(ParseError, match=f"{saved}:{text.count(NL) + 1}: unexpected"):
             load_model(str(saved))
+
+    @staticmethod
+    def rejects_header_value(path, key, value, reason):
+        """path with its first line's key set to value raises ParseError at line 1."""
+        replace_line(path, 1, lambda line: " ".join(
+            f"{key}={value}" if f.startswith(f"{key}=") else f for f in line.split(" ")))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:1: .*{re.escape(reason)}"):
+            load_model(str(path))
+
+    def test_noun_filter_other_than_0_or_1_rejected(self, saved):
+        self.rejects_header_value(saved, "noun_filter", "7", "noun_filter must be 0 or 1, got '7'")
+
+    def test_frozen_other_than_0_or_1_rejected(self, saved):
+        self.rejects_header_value(saved, "frozen", "x", "frozen must be 0 or 1, got 'x'")
+
+    @pytest.mark.parametrize("l1", ["-5.0", "nan", "inf"])
+    def test_l1_negative_or_not_finite_rejected(self, saved, l1):
+        self.rejects_header_value(saved, "l1", l1, f"l1 must be finite and >= 0, got {float(l1)}")
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.0", "-1.0"])
+    def test_alpha_not_finite_and_positive_rejected(self, tmp_path, alpha):
+        path = tmp_path / "nb.qam"
+        save_model(nb_model([question(["x"], "A")], RelationLabelSpace(("A",))), str(path))
+        self.rejects_header_value(path, "alpha", alpha,
+                                  f"alpha must be finite and > 0, got {float(alpha)}")
 
     def test_qamodel_1_file_rejected(self, tmp_path):
         path = tmp_path / "old.qam"

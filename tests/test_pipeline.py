@@ -26,8 +26,11 @@ class OracleEntityModel:
     def __init__(self, entity_tokens):
         self.entity_tokens = set(entity_tokens)
 
-    def predict_token_tags(self, tokens):
-        return [1 if t in self.entity_tokens else 0 for t in tokens]
+    def predict_probs(self, token_seqs):
+        """One-hot tags, [B, T, 2]."""
+        width = max(len(tokens) for tokens in token_seqs)
+        return np.eye(2)[[[int(t in self.entity_tokens) for t in tokens] + [0] * (width - len(tokens))
+                          for tokens in token_seqs]]
 
 
 def majority_model(relation: str):
